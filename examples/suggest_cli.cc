@@ -9,9 +9,8 @@
 //                                [--ingest=N] [--tail=path] [--slo=SPECS]
 //                                [--log_rotate_kb=N] [--explain_every=N]
 //                                [--shards=N] [--cache_policy=NAME]
-//                                [--negative_cache=N] [--whole_gen_cache]
-//                                [--warmup_log=path] [--warmup_max=N]
-//                                [log.tsv]
+//                                [--negative_cache=N] [--warmup_log=path]
+//                                [--warmup_max=N] [log.tsv]
 //   > sun                      # plain query
 //   > @12 sun                  # personalize for user 12
 //   > batch sun; solar energy; @3 java     # serve ';'-separated requests
@@ -34,7 +33,12 @@
 // not the session's cumulative totals.
 // With --cache=N served lists are kept in an N-entry result cache;
 // repeated requests are answered from it (watch pqsda.cache.hits_total in
-// 'metrics').
+// 'metrics'). Entries record the generation of every index component they
+// read, so a rebuild swap invalidates only the entries whose components
+// changed. --cache_policy=NAME picks the replacement policy (lru, clock,
+// arc, car), --negative_cache=N remembers N NotFound answers, and
+// --warmup_log=path (with --warmup_max=N) replays the newest requests of a
+// JSONL request log into the cache after every swap.
 //
 // Profiling & SLOs: serve mode also exposes /profilez (windowed per-stage
 // cost attribution tree, ?window=10s|1m|5m) and /alertz (burn-rate SLO
@@ -81,15 +85,15 @@
 // the configured threshold. 'tail <user>' shows a user's open (not yet
 // absorbed) session in the ingest stream.
 //
-// Sharded serving: --shards=N (N>1) builds the scatter-gather ShardedEngine
-// instead of the monolithic one — queries route to a primary shard's lane,
-// expansion gathers rows across shards, and served lists stay bitwise
-// identical to unsharded mode. --shed_queue_depth then configures the
-// *per-shard* admission gates, 'batch' admits at each request's own
-// primary lane, 'index' shows the consistent-cut build id plus per-shard
-// generations, and 'statusz' grows the per-shard section. With --stats the
-// per-shard serving rungs and partial-merge flag are printed per request.
-// 'explain', 'replay' and --tail still need the unsharded engine.
+// Sharded serving: --shards=N (N>=1) serves scatter-gather over N shards —
+// queries route to a primary shard's lane, expansion gathers rows across
+// shards, and served lists stay bitwise identical to unsharded mode.
+// --shed_queue_depth then configures the *per-shard* admission gates,
+// 'batch' admits at each request's own primary lane, 'index' adds the
+// per-shard generations, and 'statusz' grows the per-shard section. With
+// --stats the per-shard serving rungs and partial-merge flag are printed
+// per request. Every other command ('explain', 'replay', 'ingest', 'tail',
+// --tail) works the same sharded or not.
 
 #include <atomic>
 #include <chrono>
@@ -107,7 +111,6 @@
 #include "common/cancellation.h"
 #include "core/pqsda_engine.h"
 #include "suggest/cache_policy.h"
-#include "core/sharded_engine.h"
 #include "log/log_io.h"
 #include "obs/http_exporter.h"
 #include "obs/metrics.h"
@@ -163,7 +166,6 @@ int main(int argc, char** argv) {
   size_t shards = 0;
   CachePolicyKind cache_policy = CachePolicyKind::kLru;
   size_t negative_cache = 0;
-  bool whole_gen_cache = false;
   const char* warmup_log = nullptr;
   unsigned long warmup_max = 0;
   const char* log_path = nullptr;
@@ -207,8 +209,6 @@ int main(int argc, char** argv) {
       }
     } else if (std::strncmp(argv[i], "--negative_cache=", 17) == 0) {
       negative_cache = std::strtoul(argv[i] + 17, nullptr, 10);
-    } else if (std::strcmp(argv[i], "--whole_gen_cache") == 0) {
-      whole_gen_cache = true;
     } else if (std::strncmp(argv[i], "--warmup_log=", 13) == 0) {
       warmup_log = argv[i] + 13;
     } else if (std::strncmp(argv[i], "--warmup_max=", 13) == 0) {
@@ -320,7 +320,7 @@ int main(int argc, char** argv) {
   config.cache_capacity = cache_capacity;
   config.cache_policy = cache_policy;
   config.negative_cache_capacity = negative_cache;
-  config.cache_delta_aware = !whole_gen_cache;
+  config.sharding.shards = shards;
   if (warmup_log != nullptr) {
     config.cache_warmup.log_path = warmup_log;
     if (warmup_max > 0) config.cache_warmup.max_requests = warmup_max;
@@ -328,10 +328,8 @@ int main(int argc, char** argv) {
   config.robustness.min_rung = min_rung;
   config.robustness.shed_queue_depth = shed_queue_depth;
   if (cache_capacity > 0) {
-    std::printf("result cache enabled (%zu entries, policy %s, %s "
-                "invalidation)\n",
-                cache_capacity, CachePolicyName(cache_policy),
-                whole_gen_cache ? "whole-generation" : "delta-aware");
+    std::printf("result cache enabled (%zu entries, policy %s)\n",
+                cache_capacity, CachePolicyName(cache_policy));
   }
   if (negative_cache > 0) {
     std::printf("negative cache enabled (%zu known-NotFound entries)\n",
@@ -344,46 +342,26 @@ int main(int argc, char** argv) {
     std::printf("per-request deadline: %ldms\n", deadline_ms);
   }
   if (shed_queue_depth > 0) {
-    std::printf("load shedding above pool queue depth %zu\n",
-                shed_queue_depth);
+    std::printf("load shedding above %s queue depth %zu\n",
+                shards > 0 ? "per-shard lane" : "pool", shed_queue_depth);
   }
   if (min_rung > 0) {
     std::printf("degradation ladder floored at rung %zu\n", min_rung);
   }
-  // --shards=N builds the scatter-gather coordinator instead; exactly one
-  // of the two engines exists below. Commands that need the monolithic
-  // engine's internals (explain/replay/--tail) refuse in sharded mode.
-  std::unique_ptr<PqsdaEngine> engine;
-  std::unique_ptr<ShardedEngine> sharded;
-  if (shards > 1) {
-    if (tail_path != nullptr) {
-      std::fprintf(stderr, "--tail is not supported with --shards\n");
-      return 1;
-    }
-    ShardedEngineOptions shard_options;
-    shard_options.shards = shards;
-    shard_options.shard_queue_depth = shed_queue_depth;
-    std::printf("building sharded engine (%zu shards, representation + UPM "
+  if (shards > 0) {
+    std::printf("building engine (%zu shards, representation + UPM "
                 "training)...\n",
                 shards);
-    auto built = ShardedEngine::Build(std::move(records), config,
-                                      shard_options);
-    if (!built.ok()) {
-      std::fprintf(stderr, "build failed: %s\n",
-                   built.status().ToString().c_str());
-      return 1;
-    }
-    sharded = std::move(*built);
   } else {
     std::printf("building engine (representation + UPM training)...\n");
-    auto built = PqsdaEngine::Build(std::move(records), config);
-    if (!built.ok()) {
-      std::fprintf(stderr, "build failed: %s\n",
-                   built.status().ToString().c_str());
-      return 1;
-    }
-    engine = std::move(*built);
   }
+  auto built = PqsdaEngine::Build(std::move(records), config);
+  if (!built.ok()) {
+    std::fprintf(stderr, "build failed: %s\n",
+                 built.status().ToString().c_str());
+    return 1;
+  }
+  std::unique_ptr<PqsdaEngine> engine = std::move(*built);
   // --tail=path: follow a TSV file from its current end; appended complete
   // lines are parsed and ingested live while the prompt keeps serving.
   std::atomic<bool> tail_stop{false};
@@ -455,22 +433,6 @@ int main(int argc, char** argv) {
       continue;
     }
     if (line == "index") {
-      if (sharded) {
-        auto build = sharded->AcquireConsistent();
-        std::printf("build %llu | %zu records | %zu shards | delta depth "
-                    "%zu | upm generation %llu | shard generations [",
-                    static_cast<unsigned long long>(build->build_id),
-                    build->base->records.size(), sharded->shards(),
-                    sharded->delta_depth(),
-                    static_cast<unsigned long long>(build->upm_generation));
-        for (size_t s = 0; s < build->shard_generation.size(); ++s) {
-          std::printf("%s%llu", s > 0 ? " " : "",
-                      static_cast<unsigned long long>(
-                          build->shard_generation[s]));
-        }
-        std::printf("]\n");
-        continue;
-      }
       IndexManager& index = engine->index_manager();
       auto snap = index.Acquire();
       std::printf("generation %llu | %zu records | %zu sessions | delta "
@@ -482,30 +444,20 @@ int main(int argc, char** argv) {
                   static_cast<unsigned long long>(index.ingested_total()),
                   static_cast<unsigned long long>(index.rebuilds_total()),
                   static_cast<long long>(snap->build_us));
+      if (shards > 0) {
+        std::printf("%zu shards | upm generation %llu | shard generations [",
+                    shards,
+                    static_cast<unsigned long long>(snap->upm_generation));
+        for (size_t s = 0; s < snap->shard_generation.size(); ++s) {
+          std::printf("%s%llu", s > 0 ? " " : "",
+                      static_cast<unsigned long long>(
+                          snap->shard_generation[s]));
+        }
+        std::printf("]\n");
+      }
       continue;
     }
     if (line == "rebuild") {
-      if (sharded) {
-        const uint64_t before = sharded->AcquireConsistent()->build_id;
-        Status rebuilt = sharded->RebuildNow();
-        if (!rebuilt.ok()) {
-          std::printf("  (%s)\n", rebuilt.ToString().c_str());
-          continue;
-        }
-        // An ingest may already have scheduled the rebuild on a shard lane;
-        // wait it out so the printed build id reflects the drained buffer.
-        sharded->WaitForRebuilds();
-        const uint64_t after = sharded->AcquireConsistent()->build_id;
-        if (after == before) {
-          std::printf("delta buffer empty; still build %llu\n",
-                      static_cast<unsigned long long>(after));
-        } else {
-          std::printf("build %llu -> %llu\n",
-                      static_cast<unsigned long long>(before),
-                      static_cast<unsigned long long>(after));
-        }
-        continue;
-      }
       IndexManager& index = engine->index_manager();
       const uint64_t before = index.generation();
       Status rebuilt = index.RebuildNow();
@@ -534,24 +486,6 @@ int main(int argc, char** argv) {
       n = std::min(n, holdout.size());
       std::vector<QueryLogRecord> chunk(holdout.begin(), holdout.begin() + n);
       holdout.erase(holdout.begin(), holdout.begin() + n);
-      if (sharded) {
-        size_t fed = 0;
-        Status ingested = Status::OK();
-        for (QueryLogRecord& record : chunk) {
-          ingested = sharded->Ingest(std::move(record));
-          if (!ingested.ok()) break;
-          ++fed;
-        }
-        if (!ingested.ok()) {
-          std::printf("  (%s after %zu records)\n",
-                      ingested.ToString().c_str(), fed);
-          continue;
-        }
-        std::printf("ingested %zu records (%zu held out remain, delta depth "
-                    "%zu)\n",
-                    fed, holdout.size(), sharded->delta_depth());
-        continue;
-      }
       Status ingested =
           engine->index_manager().IngestBatch(std::move(chunk));
       if (!ingested.ok()) {
@@ -564,10 +498,6 @@ int main(int argc, char** argv) {
       continue;
     }
     if (line.rfind("tail ", 0) == 0) {
-      if (sharded) {
-        std::printf("tail inspection is not supported with --shards\n");
-        continue;
-      }
       const char* arg = line.c_str() + 5;
       while (*arg == ' ' || *arg == '@') ++arg;
       const UserId user =
@@ -587,11 +517,6 @@ int main(int argc, char** argv) {
     }
 
     if (line.rfind("explain ", 0) == 0) {
-      if (sharded) {
-        std::printf("explain capture is not supported with --shards (use "
-                    "--stats for per-shard rungs)\n");
-        continue;
-      }
       SuggestionRequest request = ParseRequest(line.substr(8));
       if (request.query.empty()) continue;
       CancelToken token;
@@ -613,10 +538,6 @@ int main(int argc, char** argv) {
     }
 
     if (line.rfind("replay ", 0) == 0) {
-      if (sharded) {
-        std::printf("replay is not supported with --shards\n");
-        continue;
-      }
       if (request_log_path == nullptr) {
         std::printf("replay needs --request_log=path\n");
         continue;
@@ -710,8 +631,7 @@ int main(int argc, char** argv) {
           request.cancel = &tokens.back();
         }
       }
-      auto results = sharded ? sharded->SuggestBatch(requests, 10)
-                             : engine->SuggestBatch(requests, 10);
+      auto results = engine->SuggestBatch(requests, 10);
       for (size_t r = 0; r < results.size(); ++r) {
         std::printf("[%zu] %s\n", r + 1, requests[r].query.c_str());
         if (!results[r].ok()) {
@@ -739,8 +659,7 @@ int main(int argc, char** argv) {
     if (show_stats) before = obs::MetricsRegistry::Default().Snapshot();
     SuggestStats stats;
     auto suggestions =
-        sharded ? sharded->Suggest(request, 10, show_stats ? &stats : nullptr)
-                : engine->Suggest(request, 10, show_stats ? &stats : nullptr);
+        engine->Suggest(request, 10, show_stats ? &stats : nullptr);
     if (!suggestions.ok()) {
       std::printf("  (%s)\n", suggestions.status().ToString().c_str());
       continue;

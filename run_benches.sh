@@ -16,15 +16,16 @@ run() { echo "===== $* ====="; env "${@:2}" timeout 1200 "$B/$1"; echo; }
 # (snapshot publication/reclaim racing in-flight requests), the stage
 # profiler (thread-local accumulators folding into the shared epoch ring),
 # the explain layer (thread-local sinks, the /explainz ring, replay
-# racing rebuilds) and the sharded scatter-gather path (per-shard lanes,
-# publication slots, cross-shard fetches racing holdback swaps) — plus the
-# SIMD kernel dispatch (kernel_equivalence_test) — by running obs_test,
-# serving_test, telemetry_test, fault_injection_test, ingest_test,
-# profiler_test, explain_test, sharding_test and kernel_equivalence_test
-# under ThreadSanitizer before spending 20 minutes on figures. Skip with
-# PQSDA_TSAN_VERIFY=0.
+# racing rebuilds), the sharded scatter-gather path (per-shard lanes and
+# cross-shard fetches racing rebuild swaps) and the cache (validation
+# vectors graded under swap churn and warmup fills) — plus the SIMD kernel
+# dispatch (kernel_equivalence_test) — by running obs_test, serving_test,
+# telemetry_test, fault_injection_test, ingest_test, profiler_test,
+# explain_test, sharding_test, cache_policy_test and
+# kernel_equivalence_test under ThreadSanitizer before spending 20 minutes
+# on figures. Skip with PQSDA_TSAN_VERIFY=0.
 if [ "${PQSDA_TSAN_VERIFY:-1}" = "1" ]; then
-  echo "===== verify: obs + serving + telemetry + fault_injection + ingest + profiler + explain + sharding + kernel_equivalence tests under ThreadSanitizer ====="
+  echo "===== verify: obs + serving + telemetry + fault_injection + ingest + profiler + explain + sharding + cache_policy + kernel_equivalence tests under ThreadSanitizer ====="
   cmake -B build-tsan -S . -DPQSDA_ENABLE_TSAN=ON >/dev/null &&
     cmake --build build-tsan --target obs_test serving_test telemetry_test fault_injection_test ingest_test profiler_test explain_test sharding_test cache_policy_test kernel_equivalence_test -j >/dev/null &&
     timeout 600 ./build-tsan/tests/obs_test &&
@@ -48,7 +49,7 @@ fi
 # request serving out of generation g while g+1 swaps in must never touch
 # freed memory. Skip with PQSDA_ASAN_VERIFY=0.
 if [ "${PQSDA_ASAN_VERIFY:-1}" = "1" ]; then
-  echo "===== verify: ingest + serving + fault_injection + profiler + explain + sharding + kernel_equivalence tests under AddressSanitizer ====="
+  echo "===== verify: ingest + serving + fault_injection + profiler + explain + sharding + cache_policy + kernel_equivalence tests under AddressSanitizer ====="
   cmake -B build-asan -S . -DPQSDA_ENABLE_ASAN=ON >/dev/null &&
     cmake --build build-asan --target ingest_test serving_test fault_injection_test profiler_test explain_test sharding_test cache_policy_test kernel_equivalence_test -j >/dev/null &&
     timeout 600 ./build-asan/tests/ingest_test &&
@@ -90,17 +91,32 @@ if ! grep -q '"gate_pass": true' BENCH_explain.json 2>/dev/null; then
   echo "explain-overhead gate FAILED (see BENCH_explain.json)" >&2
   exit 1
 fi
-# Sharded scatter-gather, both halves of its promise: admitted capacity
-# under a burst must scale (>= 1.6x at 4 shards vs 1), and every shard
-# count must serve bitwise-identical lists on the sequential probes.
+# Overload hardening: shedding must admit requests at a lower end-to-end
+# p99 than the no-shedding baseline under the same burst (bench_serving
+# prints "lower, as required"; BENCH_robustness.json's p99_ratio < 1).
+if ! awk -F': ' '/"p99_ratio"/ { found = 1; ok = ($2 + 0 < 1) }
+                END { exit !(found && ok) }' BENCH_robustness.json 2>/dev/null; then
+  echo "overload shedding gate FAILED (see BENCH_robustness.json)" >&2
+  exit 1
+fi
+# Live ingestion: every request of the storm must be served while the churn
+# thread ingests, and the index must actually have swapped during it.
+if ! grep -q '"all_served": true' BENCH_ingest.json 2>/dev/null ||
+   ! grep -Eq '"swaps": [1-9][0-9]*' BENCH_ingest.json; then
+  echo "ingest-while-serving gate FAILED (see BENCH_ingest.json)" >&2
+  exit 1
+fi
 # Adaptive cache hierarchy, both halves of its promise: the better of
 # ARC/CAR must match-or-beat LRU's hit rate under scan pollution, and
-# delta-aware validation must retain >= 1.3x the hits of whole-generation
-# keying across the same swap-churn schedule.
+# delta-aware validation must keep at least the retained-hits floor
+# across the swap-churn schedule.
 if ! grep -q '"gate_pass": true' BENCH_cache.json 2>/dev/null; then
   echo "adaptive-cache gate FAILED (see BENCH_cache.json)" >&2
   exit 1
 fi
+# Sharded scatter-gather, both halves of its promise: admitted capacity
+# under a burst must scale (>= 1.6x at 4 shards vs 1), and every shard
+# count must serve bitwise-identical lists on the sequential probes.
 if ! grep -q '"gate_pass": true' BENCH_sharding.json 2>/dev/null; then
   echo "shard-scaling gate FAILED (see BENCH_sharding.json)" >&2
   exit 1

@@ -36,18 +36,15 @@ inline constexpr char kP95Us[] = "admission.p95_us";
 /// Fired once per per-shard fetch of the scatter-gather coordinator
 /// (ShardedWalkBackend), before the fetch computes anything.
 inline constexpr char kShardFetch[] = "shard.fetch";
-/// Fired once per shard publication slot on every sharded-build swap.
-inline constexpr char kShardSwap[] = "shard.swap";
 /// Value override: shard id whose fetches report a per-fetch deadline
 /// expiry (a slow shard, without a wall-clock race). -1/unset = none.
 inline constexpr char kShardDeadlineShard[] = "shard.deadline_shard";
 /// Value override: shard id whose admission gate sheds its fetches (that
 /// shard degrades alone; the request survives). -1/unset = none.
 inline constexpr char kShardShedShard[] = "shard.shed_shard";
-/// Value override: shard id whose publication slot skips the next swap and
-/// keeps serving the previous build ("one shard mid-swap": the coordinator
-/// must fall back to the last build every shard can serve consistently).
-inline constexpr char kShardSwapHoldback[] = "shard.swap_holdback";
+/// Value override: nonzero makes every index rebuild fail before it builds
+/// (the batch is dropped and counted as a rebuild failure).
+inline constexpr char kRebuildFailure[] = "index.rebuild_failure";
 }  // namespace faults
 
 /// What an armed injection point does when it fires.

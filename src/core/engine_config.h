@@ -53,7 +53,9 @@ struct RobustnessOptions {
   /// Hitting-time sweep budget of the truncated rung (capped at the full
   /// configuration's horizon).
   size_t truncated_hitting_iterations = 6;
-  /// Admission gates (0 disables each — see AdmissionOptions).
+  /// Admission gates (0 disables each — see AdmissionOptions). Sharded, each
+  /// shard gates on its own lane depth plus in-flight count and its own
+  /// latency window, so one slow shard sheds alone.
   size_t shed_queue_depth = 0;
   double shed_p95_us = 0.0;
 };
@@ -91,6 +93,32 @@ struct CacheWarmupOptions {
   size_t max_requests = 256;
 };
 
+/// Scatter-gather serving over an N-way partition of the index. The build
+/// stays global (the cfiqf weighting carries a global IQF term); sharding
+/// partitions the *reads*: a request routes to its primary shard (admission
+/// gate + single-threaded lane), and the §IV-A expansion fetches rows from
+/// the shards that own them. Served lists are bitwise-identical to the
+/// unsharded engine's at every shard count.
+struct ShardingOptions {
+  /// Number of shards. 0 serves unsharded (the index is still sliced into
+  /// kCacheValidationComponents strict-ownership components, which only
+  /// grade cache entries); N >= 1 serves scatter-gather over N shards, N = 1
+  /// being the one-lane bridge case.
+  size_t shards = 0;
+  /// Hot-boundary replication threshold (see ShardPartitionOptions). 0
+  /// disables replication.
+  size_t hot_row_min_degree = 48;
+  /// Per-fetch deadline floor (microseconds): a cross-shard fetch is not
+  /// attempted once the request's remaining deadline budget falls below
+  /// this — the owning shard is classified kShardDeadline on touch and its
+  /// cold rows drop, spending what little budget remains on finishing the
+  /// pipeline instead of on remote reads. The default matches
+  /// RobustnessOptions::cache_only_below_us. 0 disables the floor (expired
+  /// deadlines still refuse fetches). Requests without a deadline are
+  /// unaffected.
+  double fetch_budget_floor_us = 2'000.0;
+};
+
 /// End-to-end PQS-DA configuration.
 struct PqsdaEngineConfig {
   EdgeWeighting weighting = EdgeWeighting::kCfIqf;
@@ -103,16 +131,12 @@ struct PqsdaEngineConfig {
   /// Weighted-Borda multiplicity of the preference ranking (see
   /// Personalizer).
   size_t preference_borda_weight = 2;
-  /// When false, Build skips the coarse registry instrumentation (stage
-  /// histograms and counters in obs::MetricsRegistry::Default()). Per-request
-  /// stats are independent of this flag: they are opted into per call by
-  /// passing a SuggestStats pointer to Suggest.
-  bool collect_metrics = true;
   /// Capacity (entries) of the suggestion result cache; 0 disables caching.
   /// Served lists are cached after personalization, keyed by
-  /// (query, context-hash, user, k, index generation), so a hit is
-  /// byte-identical to the miss that filled it and a snapshot swap can never
-  /// serve a list computed against a previous generation.
+  /// (query, context, user, k), so a hit is byte-identical to the miss that
+  /// filled it. Each entry records the generation of every index component
+  /// its request read (plus the UPM's when personalized); a snapshot swap
+  /// invalidates exactly the entries whose components changed.
   size_t cache_capacity = 0;
   /// Mutex shards of the cache (see SuggestionCacheOptions).
   size_t cache_shards = 8;
@@ -120,19 +144,14 @@ struct PqsdaEngineConfig {
   CachePolicyKind cache_policy = CachePolicyKind::kLru;
   /// Capacity of the negative-result (NotFound) cache; 0 disables it.
   size_t negative_cache_capacity = 0;
-  /// When true (the default), cache entries carry a per-component
-  /// ValidationVector built from content-defined fingerprints, so a snapshot
-  /// swap only invalidates entries whose components actually changed.
-  /// When false, entries are keyed by the scalar snapshot generation and
-  /// every swap soft-invalidates the whole cache (the pre-PR-10 behavior,
-  /// kept as the bench baseline).
-  bool cache_delta_aware = true;
   /// Post-swap warmup replay (see CacheWarmupOptions).
   CacheWarmupOptions cache_warmup;
   /// Overload hardening: degradation ladder thresholds and load shedding.
   RobustnessOptions robustness;
   /// Live ingestion: delta buffering and rebuild scheduling.
   IngestOptions ingest;
+  /// Scatter-gather serving (shards = 0: unsharded).
+  ShardingOptions sharding;
 };
 
 }  // namespace pqsda

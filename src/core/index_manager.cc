@@ -3,6 +3,7 @@
 #include <chrono>
 #include <cstdio>
 
+#include "common/fault_injector.h"
 #include "common/timer.h"
 #include "obs/metrics.h"
 #include "obs/stage_profiler.h"
@@ -56,6 +57,18 @@ struct IngestMetrics {
   }
 };
 
+// The sharded /statusz section's index half: each shard's effective
+// generation and the published partition's replicated hot-row count.
+void SetShardGauges(const IndexSnapshot& snap) {
+  obs::MetricsRegistry& reg = obs::MetricsRegistry::Default();
+  reg.GetGauge("pqsda.shard.replicated_hot_rows")
+      .Set(static_cast<double>(snap.partition.replicated_rows));
+  for (size_t s = 0; s < snap.shard_generation.size(); ++s) {
+    reg.GetGauge("pqsda.shard." + std::to_string(s) + ".generation")
+        .Set(static_cast<double>(snap.shard_generation[s]));
+  }
+}
+
 }  // namespace
 
 StatusOr<std::shared_ptr<IndexSnapshot>> BuildIndexSnapshot(
@@ -75,7 +88,6 @@ StatusOr<std::shared_ptr<IndexSnapshot>> BuildIndexSnapshot(
       reg.GetHistogram("pqsda.build.upm_train_us");
   static obs::Gauge& num_queries = reg.GetGauge("pqsda.build.queries");
   static obs::Gauge& num_sessions = reg.GetGauge("pqsda.build.sessions");
-  const bool metrics = config.collect_metrics;
 
   WallTimer build_timer;
   auto snap = std::make_shared<IndexSnapshot>();
@@ -89,72 +101,69 @@ StatusOr<std::shared_ptr<IndexSnapshot>> BuildIndexSnapshot(
   {
     obs::TraceSpan span("sessionize");
     obs::StageScope stage(obs::ProfileStage::kSessionize);
-    obs::ScopedTimer timer(metrics ? &sessionize_us : nullptr);
+    obs::ScopedTimer timer(&sessionize_us);
     snap->sessions = Sessionize(snap->records, config.sessionizer);
   }
   {
     obs::TraceSpan span("representation");
     obs::StageScope stage(obs::ProfileStage::kGraphBuild);
-    obs::ScopedTimer timer(metrics ? &representation_us : nullptr);
+    obs::ScopedTimer timer(&representation_us);
     snap->mb = std::make_unique<MultiBipartite>(MultiBipartite::Build(
         snap->records, snap->sessions, config.weighting));
   }
   {
     obs::TraceSpan span("corpus");
     obs::StageScope stage(obs::ProfileStage::kGraphBuild);
-    obs::ScopedTimer timer(metrics ? &corpus_us : nullptr);
+    obs::ScopedTimer timer(&corpus_us);
     snap->corpus = std::make_unique<QueryLogCorpus>(
         QueryLogCorpus::Build(snap->records, snap->sessions));
   }
   snap->diversifier =
       std::make_unique<PqsdaDiversifier>(*snap->mb, config.diversifier);
   {
-    // Validation slices for delta-aware cache invalidation: strict
-    // ownership (no hot-row replication) so every query row belongs to
-    // exactly one fingerprinted component. Publish() compares these
+    // The shard partition, or unsharded the cache-validation slicing with
+    // strict ownership (no hot-row replication), so every query row belongs
+    // to exactly one fingerprinted component. Publish() compares these
     // fingerprints against the outgoing snapshot's to carry unchanged
     // components' generations over.
-    ShardPartitionOptions vopt;
-    vopt.shards = kCacheValidationComponents;
-    vopt.hot_row_min_degree = 0;
-    snap->validation = BuildShardPartition(*snap->mb, vopt);
-    snap->validation_generation.assign(snap->validation.shard.size(),
-                                       generation);
+    ShardPartitionOptions popt;
+    popt.shards = config.sharding.shards;
+    popt.hot_row_min_degree = config.sharding.hot_row_min_degree;
+    if (popt.shards == 0) {
+      popt.shards = kCacheValidationComponents;
+      popt.hot_row_min_degree = 0;
+    }
+    snap->partition = BuildShardPartition(*snap->mb, popt);
+    snap->shard_generation.assign(snap->partition.shards, generation);
   }
   snap->upm_generation = generation;
   if (config.personalize) {
     obs::TraceSpan span("upm_train");
     obs::StageScope stage(obs::ProfileStage::kGraphBuild);
-    obs::ScopedTimer timer(metrics ? &upm_train_us : nullptr);
+    obs::ScopedTimer timer(&upm_train_us);
     // Tee Gibbs progress into the registry (sweep counter/latency and the
     // convergence gauge), then onward to any caller-supplied callback.
     UpmOptions upm_options = config.upm;
-    if (metrics) {
-      auto user_progress = upm_options.progress;
-      upm_options.progress = [user_progress](const GibbsSweepStats& s) {
-        obs::MetricsRegistry& r = obs::MetricsRegistry::Default();
-        static obs::Counter& sweeps = r.GetCounter("pqsda.upm.sweeps_total");
-        static obs::Histogram& sweep_us =
-            r.GetHistogram("pqsda.upm.sweep_us");
-        static obs::Gauge& log_posterior =
-            r.GetGauge("pqsda.upm.log_posterior");
-        sweeps.Increment();
-        sweep_us.Observe(static_cast<double>(s.duration_us));
-        log_posterior.Set(s.log_posterior);
-        if (user_progress) user_progress(s);
-      };
-    }
+    auto user_progress = upm_options.progress;
+    upm_options.progress = [user_progress](const GibbsSweepStats& s) {
+      obs::MetricsRegistry& r = obs::MetricsRegistry::Default();
+      static obs::Counter& sweeps = r.GetCounter("pqsda.upm.sweeps_total");
+      static obs::Histogram& sweep_us = r.GetHistogram("pqsda.upm.sweep_us");
+      static obs::Gauge& log_posterior = r.GetGauge("pqsda.upm.log_posterior");
+      sweeps.Increment();
+      sweep_us.Observe(static_cast<double>(s.duration_us));
+      log_posterior.Set(s.log_posterior);
+      if (user_progress) user_progress(s);
+    };
     snap->upm = std::make_unique<UpmModel>(upm_options);
     snap->upm->Train(*snap->corpus);
     snap->personalizer = std::make_unique<Personalizer>(
         *snap->upm, *snap->corpus, config.preference_borda_weight);
   }
   snap->build_us = build_timer.ElapsedMicros();
-  if (metrics) {
-    builds_total.Increment();
-    num_queries.Set(static_cast<double>(snap->mb->num_queries()));
-    num_sessions.Set(static_cast<double>(snap->sessions.size()));
-  }
+  builds_total.Increment();
+  num_queries.Set(static_cast<double>(snap->mb->num_queries()));
+  num_sessions.Set(static_cast<double>(snap->sessions.size()));
   return snap;
 }
 
@@ -170,6 +179,7 @@ IndexManager::IndexManager(std::shared_ptr<IndexSnapshot> initial,
   m.last_swap_monotonic_sec.Set(
       static_cast<double>(initial->published_ns) * 1e-9);
   m.oldest_live_generation.Set(static_cast<double>(initial->generation));
+  if (config_.sharding.shards > 0) SetShardGauges(*initial);
   snapshot_ = std::move(initial);
 }
 
@@ -305,7 +315,11 @@ Status IndexManager::RebuildWith(std::vector<QueryLogRecord> batch) {
   }
 
   WallTimer timer;
-  auto snap_or = BuildIndexSnapshot(std::move(all), config_, next_generation_);
+  auto snap_or =
+      FaultInjector::Default().Value(faults::kRebuildFailure, 0) != 0
+          ? StatusOr<std::shared_ptr<IndexSnapshot>>(
+                Status::Internal("injected rebuild failure"))
+          : BuildIndexSnapshot(std::move(all), config_, next_generation_);
   if (!snap_or.ok()) {
     m.rebuild_failures_total.Increment();
     profiler.EndRequest(obs::kProfileRebuildLane);
@@ -316,14 +330,12 @@ Status IndexManager::RebuildWith(std::vector<QueryLogRecord> batch) {
   m.rebuild_us.Observe(static_cast<double>(rebuild_us));
   m.last_rebuild_us.Set(static_cast<double>(rebuild_us));
   m.rebuild_batch_records.Observe(static_cast<double>(batch_records));
-  Publish(std::move(*snap_or), batch_records);
+  Publish(std::move(*snap_or));
   profiler.EndRequest(obs::kProfileRebuildLane);
   return Status::OK();
 }
 
-void IndexManager::Publish(std::shared_ptr<IndexSnapshot> next,
-                           size_t batch_records) {
-  (void)batch_records;
+void IndexManager::Publish(std::shared_ptr<IndexSnapshot> next) {
   obs::StageScope stage(obs::ProfileStage::kPublish);
   next->published_ns = SteadyNowNs();
   IngestMetrics& m = IngestMetrics::Get();
@@ -335,19 +347,16 @@ void IndexManager::Publish(std::shared_ptr<IndexSnapshot> next,
   {
     std::lock_guard<std::mutex> lock(snapshot_mu_);
     if (snapshot_ != nullptr) {
-      // Delta-aware carry-over: a validation component whose content
-      // fingerprint did not change between the outgoing and incoming build
-      // keeps its *effective* generation, so cache entries that only read
-      // unchanged components still grade kValid after the swap.
+      // Carry-over: a partition component whose content fingerprint did
+      // not change between the outgoing and incoming build keeps its
+      // *effective* generation, so cache entries that only read unchanged
+      // components still grade kValid after the swap. Both builds use the
+      // manager's one config, so their partitions have the same width.
       const IndexSnapshot& prev = *snapshot_;
-      if (prev.validation.shards == next->validation.shards &&
-          prev.validation_generation.size() ==
-              next->validation_generation.size()) {
-        for (size_t s = 0; s < next->validation_generation.size(); ++s) {
-          if (prev.validation.shard[s].content_fingerprint ==
-              next->validation.shard[s].content_fingerprint) {
-            next->validation_generation[s] = prev.validation_generation[s];
-          }
+      for (size_t s = 0; s < next->shard_generation.size(); ++s) {
+        if (prev.partition.shard[s].content_fingerprint ==
+            next->partition.shard[s].content_fingerprint) {
+          next->shard_generation[s] = prev.shard_generation[s];
         }
       }
       if (next->upm == nullptr) next->upm_generation = prev.upm_generation;
@@ -368,6 +377,7 @@ void IndexManager::Publish(std::shared_ptr<IndexSnapshot> next,
   }
   rebuilds_total_.fetch_add(1, std::memory_order_relaxed);
   m.rebuilds_total.Increment();
+  if (config_.sharding.shards > 0) SetShardGauges(*published);
   // Flush-on-swap: the tail records are part of the immutable index now;
   // the stream restarts and a user's next query opens a fresh session.
   // (Records ingested *during* the build keep their buffered place — only

@@ -27,11 +27,11 @@
 
 namespace pqsda {
 
-/// Components of the unsharded engine's cache ValidationVector: the index is
-/// sliced into this many content-fingerprinted partitions (strict ownership,
-/// no hot-row replication) purely for delta-aware cache invalidation — a
-/// rebuild that only changes some partitions' fingerprints only invalidates
-/// cache entries whose recorded reads touched those partitions.
+/// Partition width of an unsharded index (ShardingOptions::shards = 0): the
+/// index is sliced into this many content-fingerprinted components (strict
+/// ownership, no hot-row replication) purely for cache invalidation — a
+/// rebuild that only changes some components' fingerprints only invalidates
+/// cache entries whose recorded reads touched those components.
 inline constexpr size_t kCacheValidationComponents = 8;
 
 /// One immutable, generation-numbered build of the §III query-log index and
@@ -66,16 +66,17 @@ struct IndexSnapshot {
   int64_t build_us = 0;
   /// Steady-clock instant (ns) this snapshot became the published one.
   int64_t published_ns = 0;
-  /// Strict-ownership partition of `mb` into kCacheValidationComponents
-  /// content-fingerprinted slices, used only to grade cache
-  /// ValidationVectors (delta-aware invalidation). Built with the snapshot.
-  ShardPartition validation;
-  /// Effective generation of each validation component: the generation of
+  /// Content-fingerprinted partition of `mb`, built with the snapshot: the
+  /// kCacheValidationComponents-way strict-ownership slicing when unsharded,
+  /// the N-way hot-replicated shard partition when sharded. It routes the
+  /// scatter-gather fetches and names the components cache entries record.
+  ShardPartition partition;
+  /// Effective generation of each partition component: the generation of
   /// the last build whose fingerprint for that component differed from its
   /// predecessor's. Publish() carries unchanged components' generations
   /// over, so cache entries depending only on them stay valid across the
   /// swap. Initialized to this snapshot's generation everywhere.
-  std::vector<uint64_t> validation_generation;
+  std::vector<uint64_t> shard_generation;
   /// Effective generation of the personalization model (UPM+Personalizer):
   /// carried over on rebuilds that skip training, bumped when the model is
   /// retrained (personalize=true retrains every build — the Gibbs sampler
@@ -105,11 +106,12 @@ StatusOr<std::shared_ptr<IndexSnapshot>> BuildIndexSnapshot(
 ///    task on the configured ThreadPool. Rebuilds coalesce: a single task
 ///    drains whatever accumulated, builds, publishes, then re-checks — N
 ///    records arriving mid-build cost one follow-up rebuild, not N.
-///  - Each swap bumps the generation (monotonic), flushes the streaming
+///  - Each swap bumps the generation (monotonic), carries unchanged
+///    partition components' generations over, flushes the streaming
 ///    sessionizer's open tails (their records are in the immutable index
 ///    now) and refreshes the pqsda.ingest.* metrics; the suggestion cache
-///    needs no explicit invalidation because the generation is part of every
-///    cache key.
+///    needs no explicit invalidation because every entry is graded against
+///    the component generations of the snapshot its reader pinned.
 ///
 /// All methods are thread-safe.
 class IndexManager {
@@ -196,7 +198,7 @@ class IndexManager {
   /// build_mu_).
   Status RebuildWith(std::vector<QueryLogRecord> batch);
   /// Swaps `next` in as the published snapshot and updates metrics/tails.
-  void Publish(std::shared_ptr<IndexSnapshot> next, size_t batch_records);
+  void Publish(std::shared_ptr<IndexSnapshot> next);
 
   PqsdaEngineConfig config_;
 

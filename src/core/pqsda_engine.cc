@@ -1,7 +1,10 @@
 #include "core/pqsda_engine.h"
 
 #include <algorithm>
+#include <atomic>
+#include <condition_variable>
 #include <memory>
+#include <mutex>
 #include <optional>
 #include <unordered_map>
 #include <unordered_set>
@@ -13,6 +16,7 @@
 #include "obs/explain.h"
 #include "obs/metrics.h"
 #include "obs/request_log.h"
+#include "obs/sliding_window.h"
 #include "obs/stage_profiler.h"
 #include "obs/telemetry.h"
 #include "obs/trace.h"
@@ -61,6 +65,30 @@ void AlignExplainToServed(obs::ExplainRecord& record,
 
 }  // namespace
 
+struct PqsdaEngine::ShardState {
+  /// One worker: the lane exists for *admission isolation* (its queue depth
+  /// is the shard's own shedding signal), not for parallelism.
+  ThreadPool lane{1};
+  /// This shard's own request-latency window — the live signal of its p95
+  /// gate. Deliberately not the global ServingTelemetry histogram: a
+  /// per-shard gate fed process-wide latency would trip on every shard the
+  /// moment one shard is slow.
+  obs::SlidingWindowHistogram latency;
+  /// Requests of this shard currently executing (the single-request path
+  /// runs on the calling thread and never enqueues on the lane, so the
+  /// queue-depth gate needs this to see non-batch load at all).
+  std::atomic<uint64_t> inflight{0};
+  AdmissionController admission;
+  obs::Counter* requests_total = nullptr;
+  obs::Counter* fetches_total = nullptr;
+  obs::Counter* shed_total = nullptr;
+  obs::Counter* degraded_total = nullptr;
+  obs::Counter* deadline_total = nullptr;
+};
+
+PqsdaEngine::PqsdaEngine() = default;
+PqsdaEngine::~PqsdaEngine() = default;
+
 StatusOr<std::unique_ptr<PqsdaEngine>> PqsdaEngine::Build(
     std::vector<QueryLogRecord> records, const PqsdaEngineConfig& config) {
   auto snapshot = BuildIndexSnapshot(std::move(records), config,
@@ -82,7 +110,6 @@ StatusOr<std::unique_ptr<PqsdaEngine>> PqsdaEngine::Build(
     engine->negative_cache_ = std::make_unique<NegativeSuggestionCache>(
         config.negative_cache_capacity);
   }
-  engine->cache_delta_aware_ = config.cache_delta_aware;
   engine->warmup_ = config.cache_warmup;
   if (engine->cache_ != nullptr && !config.cache_warmup.log_path.empty()) {
     // Post-swap warmup runs on the rebuild thread via the manager's
@@ -114,15 +141,81 @@ StatusOr<std::unique_ptr<PqsdaEngine>> PqsdaEngine::Build(
   // Rung 2: walk-only candidates.
   engine->walk_only_options_ = config.diversifier;
   engine->walk_only_options_.walk_only = true;
+
+  // Sharded: one lane, admission gate and counter set per shard. The gates
+  // take the engine-wide shedding thresholds but read only their shard's
+  // lane depth, in-flight count and latency window.
+  const size_t shards = config.sharding.shards;
+  engine->router_.shards = shards;
+  engine->fetch_budget_floor_us_ = config.sharding.fetch_budget_floor_us;
+  obs::MetricsRegistry& reg = obs::MetricsRegistry::Default();
+  if (shards > 0) {
+    reg.GetGauge("pqsda.shard.count").Set(static_cast<double>(shards));
+  }
+  for (size_t s = 0; s < shards; ++s) {
+    auto state = std::make_unique<ShardState>();
+    AdmissionOptions gate = admission_options;
+    gate.pool = &state->lane;
+    gate.inflight = &state->inflight;
+    gate.latency = &state->latency;
+    gate.queue_depth_point = "shard." + std::to_string(s) + ".queue_depth";
+    gate.p95_point = "shard." + std::to_string(s) + ".p95_us";
+    state->admission = AdmissionController(gate);
+    const std::string prefix = "pqsda.shard." + std::to_string(s) + ".";
+    state->requests_total = &reg.GetCounter(prefix + "requests_total");
+    state->fetches_total = &reg.GetCounter(prefix + "fetches_total");
+    state->shed_total = &reg.GetCounter(prefix + "shed_total");
+    state->degraded_total = &reg.GetCounter(prefix + "degraded_total");
+    state->deadline_total = &reg.GetCounter(prefix + "deadline_total");
+    engine->shards_.push_back(std::move(state));
+  }
   return engine;
 }
 
 StatusOr<std::vector<Suggestion>> PqsdaEngine::Suggest(
     const SuggestionRequest& request, size_t k, SuggestStats* stats,
     obs::ExplainRecord* explain) const {
+  // Admission first: an overloaded server answers kUnavailable in
+  // microseconds instead of joining the queue it is already losing.
+  const size_t primary = router_.QueryShardOf(request.query);
+  Status admit = Admit(primary);
+  if (!admit.ok()) {
+    if (stats != nullptr) {
+      *stats = SuggestStats{};
+      stats->shed = true;
+    }
+    return admit;
+  }
+  return SuggestAdmitted(request, k, primary, stats, explain);
+}
+
+Status PqsdaEngine::Admit(size_t primary) const {
+  static obs::Counter& requests_total = obs::MetricsRegistry::Default()
+      .GetCounter("pqsda.suggest.requests_total");
+  requests_total.Increment();
+  Status admit = Status::OK();
+  if (shards_.empty()) {
+    admit = admission_.Admit();
+  } else {
+    // A request sheds at its primary shard's gate only; the other shards'
+    // gates are consulted per fetch (see the classify hook in SuggestImpl).
+    ShardState& shard = *shards_[primary];
+    shard.requests_total->Increment();
+    admit = shard.admission.Admit();
+    if (!admit.ok()) shard.shed_total->Increment();
+  }
+  if (!admit.ok()) {
+    obs::ServingTelemetry::Default().RecordRequest(
+        /*latency_us=*/0.0, /*ok=*/false, /*not_found=*/false,
+        cache_ != nullptr, /*cache_hit=*/false, /*shed=*/true);
+  }
+  return admit;
+}
+
+StatusOr<std::vector<Suggestion>> PqsdaEngine::SuggestAdmitted(
+    const SuggestionRequest& request, size_t k, size_t primary,
+    SuggestStats* stats, obs::ExplainRecord* explain) const {
   obs::MetricsRegistry& reg = obs::MetricsRegistry::Default();
-  static obs::Counter& requests_total =
-      reg.GetCounter("pqsda.suggest.requests_total");
   static obs::Counter& errors_total =
       reg.GetCounter("pqsda.suggest.errors_total");
   static obs::Counter& not_found_total =
@@ -141,23 +234,8 @@ StatusOr<std::vector<Suggestion>> PqsdaEngine::Suggest(
   static obs::Counter& cancelled_total =
       reg.GetCounter("pqsda.robust.cancelled_total");
 
-  requests_total.Increment();
   obs::ServingTelemetry& telemetry = obs::ServingTelemetry::Default();
   const uint64_t request_id = telemetry.NextRequestId();
-
-  // Admission first: an overloaded server answers kUnavailable in
-  // microseconds instead of joining the queue it is already losing.
-  Status admit = admission_.Admit();
-  if (!admit.ok()) {
-    if (stats != nullptr) {
-      *stats = SuggestStats{};
-      stats->shed = true;
-    }
-    telemetry.RecordRequest(/*latency_us=*/0.0, /*ok=*/false,
-                            /*not_found=*/false, cache_ != nullptr,
-                            /*cache_hit=*/false, /*shed=*/true);
-    return admit;
-  }
 
   // Pin the index for the request's whole lifetime: everything below reads
   // this one snapshot, so a concurrent rebuild swap can neither block nor
@@ -187,6 +265,11 @@ StatusOr<std::vector<Suggestion>> PqsdaEngine::Suggest(
     erec = std::make_shared<obs::ExplainRecord>();
   }
 
+  // In flight for the whole pipeline run: the part of a shard's load its
+  // queue-depth gate cannot see in the lane (single requests execute right
+  // here on the calling thread; batch tasks leave the queue as they start).
+  ShardState* shard = shards_.empty() ? nullptr : shards_[primary].get();
+  if (shard != nullptr) shard->inflight.fetch_add(1, std::memory_order_relaxed);
   // The profiler brackets exactly the admitted request on this thread; the
   // pipeline's stage scopes fold into this bracket and EndRequest attributes
   // the whole to the rung chosen above.
@@ -205,6 +288,10 @@ StatusOr<std::vector<Suggestion>> PqsdaEngine::Suggest(
   }
   const double elapsed_us = static_cast<double>(wall.ElapsedNanos()) * 1e-3;
   profiler.EndRequest(static_cast<size_t>(rung));
+  if (shard != nullptr) {
+    shard->inflight.fetch_sub(1, std::memory_order_relaxed);
+    shard->latency.Record(elapsed_us);
+  }
   const int64_t total_us = static_cast<int64_t>(elapsed_us);
   latency_us.Observe(elapsed_us);
 
@@ -400,8 +487,11 @@ StatusOr<std::vector<Suggestion>> PqsdaEngine::SuggestImpl(
     const SuggestionRequest& request, size_t k, DegradationRung rung,
     const IndexSnapshot& snap, SuggestStats* stats, bool* cache_hit,
     bool bypass_cache) const {
-  static obs::Counter& personalized_total = obs::MetricsRegistry::Default()
-      .GetCounter("pqsda.suggest.personalized_total");
+  obs::MetricsRegistry& reg = obs::MetricsRegistry::Default();
+  static obs::Counter& personalized_total =
+      reg.GetCounter("pqsda.suggest.personalized_total");
+  static obs::Counter& partial_merges_total =
+      reg.GetCounter("pqsda.sharded.partial_merges_total");
 
   // Reset a reused stats struct before any work: no trace, solver or
   // selection number of a previous request may survive *any* exit path —
@@ -411,46 +501,37 @@ StatusOr<std::vector<Suggestion>> PqsdaEngine::SuggestImpl(
     stats->degradation_rung = static_cast<size_t>(rung);
   }
 
+  // Cache entries record, per partition component they read, the generation
+  // that last changed that component's content; the validator grades them
+  // against the snapshot this request pinned. A swap that left those
+  // components byte-identical leaves the entry servable.
   SuggestionCache::CacheKey cache_key;
   SuggestionCache::Validator validator;
   const bool use_cache =
       (cache_ != nullptr || negative_cache_ != nullptr) && !bypass_cache;
-  const bool delta_aware = cache_delta_aware_ && snap.validation.shards > 0;
   if (use_cache) {
-    if (delta_aware) {
-      // Delta-aware mode: the key carries generation 0 and the entry
-      // instead records, per validation component it read, the generation
-      // that last changed that component's content. A swap that left those
-      // components byte-identical leaves the entry servable.
-      cache_key = SuggestionCache::KeyOf(request, k, /*generation=*/0);
-      validator = [&snap](const SuggestionCache::ValidationVector& components)
-          -> CacheValidity {
-        bool stale = false;
-        for (const auto& [component, gen] : components) {
-          uint64_t current;
-          if (component == ShardServingContext::kUpmComponent) {
-            current = snap.upm_generation;
-          } else if (component < snap.validation_generation.size()) {
-            current = snap.validation_generation[component];
-          } else {
-            return CacheValidity::kStale;
-          }
-          // Newer than this snapshot: the entry belongs to a generation
-          // built after the one this request pinned (replay of a retired
-          // generation racing a warmup fill). Miss, but keep the entry —
-          // it is perfectly valid for current-generation readers.
-          if (gen > current) return CacheValidity::kMismatch;
-          if (gen < current) stale = true;
+    cache_key = SuggestionCache::KeyOf(request, k);
+    validator = [&snap](const SuggestionCache::ValidationVector& components)
+        -> CacheValidity {
+      bool stale = false;
+      for (const auto& [component, gen] : components) {
+        uint64_t current;
+        if (component == ShardServingContext::kUpmComponent) {
+          current = snap.upm_generation;
+        } else if (component < snap.shard_generation.size()) {
+          current = snap.shard_generation[component];
+        } else {
+          return CacheValidity::kStale;  // unknown component: ungradable
         }
-        return stale ? CacheValidity::kStale : CacheValidity::kValid;
-      };
-    } else {
-      // Whole-generation mode: the snapshot generation is part of the key,
-      // so after a swap a pre-swap entry can never answer a post-swap
-      // request — stale lists age out of the policy instead of being
-      // served.
-      cache_key = SuggestionCache::KeyOf(request, k, snap.generation);
-    }
+        // Newer than this snapshot: the entry belongs to a generation built
+        // after the one this request pinned (a reader on the outgoing
+        // snapshot racing a post-swap warmup fill). Miss, but keep the
+        // entry — it is perfectly valid for current-generation readers.
+        if (gen > current) return CacheValidity::kMismatch;
+        if (gen < current) stale = true;
+      }
+      return stale ? CacheValidity::kStale : CacheValidity::kValid;
+    };
   }
   if (cache_ != nullptr && !bypass_cache) {
     std::vector<Suggestion> cached;
@@ -486,79 +567,149 @@ StatusOr<std::vector<Suggestion>> PqsdaEngine::SuggestImpl(
   if (rung == DegradationRung::kTruncatedSolve) options = &truncated_options_;
   if (rung == DegradationRung::kWalkOnly) options = &walk_only_options_;
 
-  // Delta-aware fills must know which validation components the request
-  // read, so the full-rung pipeline runs over the tracking backend — the
-  // scatter-gather seam with every shard local, bitwise-identical to the
-  // plain walk (sharding differential tests pin that equivalence).
-  const bool track = use_cache && delta_aware &&
-                     rung == DegradationRung::kFull && snap.mb != nullptr;
+  // The walk backend. Sharded, every rung scatter-gathers across the
+  // shards' lanes, each shard classified on first touch. Unsharded, a
+  // full-rung request that may fill the cache walks through the lane-less
+  // tracking backend (every component local, bitwise-identical to the plain
+  // walk) so the fill knows which components it read; everything else
+  // takes the plain walk.
+  const bool sharded = !shards_.empty();
+  const bool track =
+      sharded || (use_cache && rung == DegradationRung::kFull);
   ShardServingContext ctx;
   StatusOr<DiversificationOutput> diversified = Status::Internal("unset");
   if (track) {
+    const size_t width = snap.partition.shards;
     ctx.mb = snap.mb.get();
-    ctx.partition = &snap.validation;
-    ctx.router.shards = snap.validation.shards;
-    ctx.primary = ctx.router.QueryShardOf(request.query);
-    ctx.rung.assign(snap.validation.shards, SuggestStats::kShardUntouched);
-    ctx.shard_fetches.assign(snap.validation.shards, 0);
+    ctx.partition = &snap.partition;
+    ctx.primary = ShardRouter{width}.QueryShardOf(request.query);
+    ctx.rung.assign(width, SuggestStats::kShardUntouched);
+    ctx.shard_fetches.assign(width, 0);
+    // The primary shard passed request-level admission; it serves its own
+    // rows unconditionally.
     ctx.rung[ctx.primary] = SuggestStats::kShardFull;
-    ShardedWalkBackend backend(&ctx, /*lanes=*/{});
-    PqsdaDiversifier tracking(*snap.mb, *options, &backend);
-    diversified = tracking.DiversifyWith(request, k, *options, stats);
+    std::vector<ThreadPool*> lanes;
+    if (sharded) {
+      ctx.classify = [this, cancel = request.cancel](size_t s) -> uint8_t {
+        return ClassifyShard(s, cancel);
+      };
+      lanes.reserve(shards_.size());
+      for (const auto& state : shards_) lanes.push_back(&state->lane);
+    }
+    ShardedWalkBackend backend(&ctx, std::move(lanes));
+    // Per-request diversifier bound to the backend: only the §IV-A row
+    // reads go through it; the solve, selection and rerank run unchanged on
+    // the merged compact representation.
+    PqsdaDiversifier diversifier(*snap.mb, *options, &backend);
+    diversified = diversifier.DiversifyWith(request, k, *options, stats);
   } else {
     diversified = snap.diversifier->DiversifyWith(request, k, *options, stats);
   }
+
+  std::vector<Suggestion> list;
+  bool reranked = false;
+  if (diversified.ok()) {
+    list = std::move(diversified->candidates);
+    // Personalization is skipped on the walk-only rung — the rerank reads
+    // the UPM per candidate and the rung's point is a bounded answer.
+    // Sharded, the UPM lives on the user's home shard: a degraded home
+    // shard serves the diversified list unpersonalized — loudly (partial
+    // flag + rung) — instead of failing the request.
+    if (rung != DegradationRung::kWalkOnly && snap.personalizer != nullptr &&
+        request.user != kNoUser &&
+        (!sharded || ctx.Touch(router_.UserShardOf(request.user)) ==
+                         SuggestStats::kShardFull)) {
+      list = snap.personalizer->Rerank(request.user, list);
+      personalized_total.Increment();
+      reranked = true;
+      if (stats != nullptr) stats->personalized = true;
+    }
+  }
+
+  if (sharded) {
+    // Per-shard accounting runs on every exit path so a degraded shard is
+    // never silent, then the stats snapshot mirrors it per request.
+    for (size_t s = 0; s < ctx.rung.size(); ++s) {
+      if (ctx.rung[s] == SuggestStats::kShardDegraded) {
+        shards_[s]->degraded_total->Increment();
+      } else if (ctx.rung[s] == SuggestStats::kShardDeadline) {
+        shards_[s]->deadline_total->Increment();
+      }
+      if (ctx.shard_fetches[s] > 0) {
+        shards_[s]->fetches_total->Increment(ctx.shard_fetches[s]);
+      }
+    }
+    if (ctx.partial) partial_merges_total.Increment();
+    if (stats != nullptr) {
+      stats->shard_rungs = ctx.rung;
+      stats->shards_touched = ctx.TouchedShards();
+      stats->partial_merge = ctx.partial;
+    }
+  }
+
   if (!diversified.ok()) {
     const Status status = diversified.status();
-    // Remember full-rung NotFounds, stamped with the owning component's
-    // generation (the verdict "this query is unknown" depends only on the
-    // owner shard's content); an ingest that changes that shard re-asks.
+    // A full-rung, full-merge NotFound is a property of the index (the
+    // query is unknown), not of this request's luck — remember it, stamped
+    // with the generation of the component owning the query string (its
+    // content fingerprint covers the owned query-string set), so an ingest
+    // that makes the query known invalidates the entry.
     if (use_cache && negative_cache_ != nullptr &&
-        rung == DegradationRung::kFull &&
+        rung == DegradationRung::kFull && !ctx.partial &&
         status.code() == StatusCode::kNotFound) {
       SuggestionCache::ValidationVector components;
-      if (delta_aware) {
-        ShardRouter router;
-        router.shards = snap.validation.shards;
-        const uint32_t owner =
-            static_cast<uint32_t>(router.QueryShardOf(request.query));
-        components.emplace_back(owner, snap.validation_generation[owner]);
-      }
+      components.emplace_back(static_cast<uint32_t>(ctx.primary),
+                              snap.shard_generation[ctx.primary]);
       negative_cache_->Insert(cache_key, std::move(components));
     }
     return status;
   }
-  std::vector<Suggestion> list = std::move(diversified->candidates);
-  // Personalization is skipped on the walk-only rung — the rerank reads the
-  // UPM per candidate and the rung's point is a bounded answer.
-  bool reranked = false;
-  if (rung != DegradationRung::kWalkOnly && snap.personalizer != nullptr &&
-      request.user != kNoUser) {
-    list = snap.personalizer->Rerank(request.user, list);
-    personalized_total.Increment();
-    reranked = true;
-    if (stats != nullptr) stats->personalized = true;
-  }
   if (stats != nullptr) stats->suggestions_returned = list.size();
-  // Only full-quality results may fill the cache: a degraded answer cached
-  // under the same key would outlive the overload that justified it.
-  if (cache_ != nullptr && !bypass_cache && rung == DegradationRung::kFull) {
+  // Only full-rung, full-merge results fill the cache: a degraded answer or
+  // a partial merge cached under the same key would outlive the overload
+  // that caused it. The validation vector records exactly what the entry
+  // read.
+  if (cache_ != nullptr && !bypass_cache && rung == DegradationRung::kFull &&
+      !ctx.partial) {
     SuggestionCache::ValidationVector components;
-    if (track) {
-      for (size_t s = 0; s < ctx.rung.size(); ++s) {
-        if (ctx.rung[s] != SuggestStats::kShardUntouched) {
-          components.emplace_back(static_cast<uint32_t>(s),
-                                  snap.validation_generation[s]);
-        }
+    for (size_t s = 0; s < ctx.rung.size(); ++s) {
+      if (ctx.rung[s] != SuggestStats::kShardUntouched) {
+        components.emplace_back(static_cast<uint32_t>(s),
+                                snap.shard_generation[s]);
       }
-      if (reranked) {
-        components.emplace_back(ShardServingContext::kUpmComponent,
-                                snap.upm_generation);
-      }
+    }
+    if (reranked) {
+      components.emplace_back(ShardServingContext::kUpmComponent,
+                              snap.upm_generation);
     }
     cache_->Insert(cache_key, list, std::move(components));
   }
   return list;
+}
+
+uint8_t PqsdaEngine::ClassifyShard(size_t s, const CancelToken* cancel) const {
+  FaultInjector& injector = FaultInjector::Default();
+  if (injector.Value(faults::kShardShedShard, -1) == static_cast<int64_t>(s)) {
+    return SuggestStats::kShardDegraded;
+  }
+  if (injector.Value(faults::kShardDeadlineShard, -1) ==
+      static_cast<int64_t>(s)) {
+    return SuggestStats::kShardDeadline;
+  }
+  // The per-fetch deadline floor: once the request's remaining budget has
+  // collapsed below fetch_budget_floor_us (or the deadline has passed
+  // outright), fetches to shards not yet touched are refused — the shard
+  // classifies kShardDeadline for the rest of the request and its cold rows
+  // drop, loudly, instead of remote reads eating the budget the rest of the
+  // pipeline still needs.
+  if (cancel != nullptr && cancel->has_deadline() &&
+      (cancel->expired() ||
+       static_cast<double>(cancel->RemainingNanos()) * 1e-3 <
+           fetch_budget_floor_us_)) {
+    return SuggestStats::kShardDeadline;
+  }
+  if (!shards_[s]->admission.Admit().ok()) return SuggestStats::kShardDegraded;
+  return SuggestStats::kShardFull;
 }
 
 void PqsdaEngine::WarmupCache(const IndexSnapshot& snap) const {
@@ -576,7 +727,6 @@ void PqsdaEngine::WarmupCache(const IndexSnapshot& snap) const {
   // the best estimate of the head of the live distribution.
   std::unordered_set<std::string> seen;
   size_t replayed = 0;
-  const uint64_t key_generation = cache_delta_aware_ ? 0 : snap.generation;
   for (auto it = entries->rbegin();
        it != entries->rend() && replayed < warmup_.max_requests; ++it) {
     const obs::RequestLogEntry& e = *it;
@@ -586,9 +736,9 @@ void PqsdaEngine::WarmupCache(const IndexSnapshot& snap) const {
     request.user = e.user;
     request.timestamp = e.timestamp;
     request.context = e.context;
-    const SuggestionCache::CacheKey key =
-        SuggestionCache::KeyOf(request, e.k, key_generation);
-    if (!seen.insert(key.full).second) continue;
+    if (!seen.insert(SuggestionCache::KeyOf(request, e.k).full).second) {
+      continue;
+    }
     ++replayed;
     replayed_total.Increment();
     bool hit = false;
@@ -608,15 +758,49 @@ std::vector<StatusOr<std::vector<Suggestion>>> PqsdaEngine::SuggestBatch(
   static obs::Counter& batches_total = obs::MetricsRegistry::Default()
       .GetCounter("pqsda.suggest.batches_total");
   batches_total.Increment();
-  if (pool == nullptr) pool = &ThreadPool::Shared();
   std::vector<StatusOr<std::vector<Suggestion>>> results(
       requests.size(), Status::Internal("request not served"));
-  pool->ParallelFor(0, requests.size(), /*min_grain=*/1,
-                    [this, &requests, &results, k](size_t begin, size_t end) {
-                      for (size_t i = begin; i < end; ++i) {
-                        results[i] = Suggest(requests[i], k);
-                      }
-                    });
+  if (shards_.empty()) {
+    if (pool == nullptr) pool = &ThreadPool::Shared();
+    pool->ParallelFor(0, requests.size(), /*min_grain=*/1,
+                      [this, &requests, &results, k](size_t begin,
+                                                     size_t end) {
+                        for (size_t i = begin; i < end; ++i) {
+                          results[i] = Suggest(requests[i], k);
+                        }
+                      });
+    return results;
+  }
+  std::mutex mu;
+  std::condition_variable cv;
+  size_t pending = 0;
+  for (size_t i = 0; i < requests.size(); ++i) {
+    // Admission at submit time against the primary lane's *current* queue
+    // depth: a burst that overfills one shard's lane sheds there while the
+    // other lanes keep admitting.
+    const size_t primary = router_.QueryShardOf(requests[i].query);
+    Status admit = Admit(primary);
+    if (!admit.ok()) {
+      results[i] = admit;
+      continue;
+    }
+    {
+      std::lock_guard<std::mutex> lock(mu);
+      ++pending;
+    }
+    shards_[primary]->lane.Submit(
+        [this, &requests, &results, &mu, &cv, &pending, i, k, primary] {
+          results[i] = SuggestAdmitted(requests[i], k, primary,
+                                       /*stats=*/nullptr, /*explain=*/nullptr);
+          // Notify under the lock: the caller destroys mu/cv once it
+          // observes pending == 0.
+          std::lock_guard<std::mutex> lock(mu);
+          --pending;
+          cv.notify_one();
+        });
+  }
+  std::unique_lock<std::mutex> lock(mu);
+  cv.wait(lock, [&pending] { return pending == 0; });
   return results;
 }
 

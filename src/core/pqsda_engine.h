@@ -14,6 +14,7 @@
 #include "core/engine_config.h"
 #include "core/index_manager.h"
 #include "core/personalizer.h"
+#include "core/shard_router.h"
 #include "graph/multi_bipartite.h"
 #include "log/sessionizer.h"
 #include "suggest/pqsda_diversifier.h"
@@ -29,6 +30,16 @@ namespace pqsda {
 /// generation-numbered immutable IndexSnapshots so the index can absorb
 /// fresh query-log traffic (ingest → off-path rebuild → atomic swap)
 /// without ever blocking or tearing the request path.
+///
+/// With `config.sharding.shards = N >= 1` the same engine serves
+/// scatter-gather: each request routes to a primary shard (its own
+/// admission gate and single-threaded lane), the §IV-A expansion fetches
+/// rows from the shards owning them (ShardedWalkBackend), and the merged
+/// compact representation runs the unchanged solve/selection/
+/// personalization pipeline — so served lists are bitwise-identical to the
+/// unsharded engine's while admission capacity scales with N and a slow
+/// shard degrades alone. Explain, replay, request logging and live ingest
+/// work the same at every shard count.
 class PqsdaEngine {
  public:
   /// Builds the generation-0 snapshot (representation + UPM training) and
@@ -36,6 +47,10 @@ class PqsdaEngine {
   /// — it is re-sorted).
   static StatusOr<std::unique_ptr<PqsdaEngine>> Build(
       std::vector<QueryLogRecord> records, const PqsdaEngineConfig& config);
+  ~PqsdaEngine();
+
+  PqsdaEngine(const PqsdaEngine&) = delete;
+  PqsdaEngine& operator=(const PqsdaEngine&) = delete;
 
   /// Diversified and (if enabled and the user is known) personalized
   /// suggestions.
@@ -91,6 +106,11 @@ class PqsdaEngine {
   /// with index rebuilds; results arrive in request order and each slot
   /// holds exactly what the corresponding Suggest call would have returned.
   /// Per-request stats are not collected on the batch path.
+  ///
+  /// Sharded, `pool` is unused: each request is admitted at submit time
+  /// against its primary shard's lane depth and runs on that lane, so N
+  /// lanes shed independently at depth D instead of one gate shedding at
+  /// depth D. A shed request's slot holds the kUnavailable status.
   std::vector<StatusOr<std::vector<Suggestion>>> SuggestBatch(
       std::span<const SuggestionRequest> requests, size_t k,
       ThreadPool* pool = nullptr) const;
@@ -124,9 +144,8 @@ class PqsdaEngine {
     return negative_cache_.get();
   }
 
-  /// The admission controller in front of Suggest/SuggestBatch.
-  const AdmissionController& admission() const { return admission_; }
-  const RobustnessOptions& robustness() const { return robustness_; }
+  /// Scatter-gather shard count (0: unsharded).
+  size_t shards() const { return shards_.size(); }
 
   /// The degradation rung this request would be served at right now: the
   /// larger of the configured floor and the rung its remaining deadline
@@ -156,12 +175,27 @@ class PqsdaEngine {
   }
 
  private:
-  PqsdaEngine() = default;
+  struct ShardState;
+
+  PqsdaEngine();
+
+  /// Admission at the request's gate: the engine-wide controller, or
+  /// sharded the primary shard's. Counts the request; a shed one is
+  /// recorded into the serving telemetry here.
+  Status Admit(size_t primary) const;
+
+  /// Everything after admission: snapshot pinning, rung selection, the
+  /// pipeline, timing, tracing, explain, windowed recording and request-log
+  /// emission. `primary` is the request's home shard (0 unsharded).
+  StatusOr<std::vector<Suggestion>> SuggestAdmitted(
+      const SuggestionRequest& request, size_t k, size_t primary,
+      SuggestStats* stats, obs::ExplainRecord* explain) const;
 
   /// The cache-lookup + diversify + personalize pipeline at a given ladder
-  /// rung over one pinned snapshot, free of telemetry concerns; Suggest
-  /// wraps it with admission, rung selection, timing, tracing, windowed
-  /// recording and request-log emission. Resets a reused `stats` struct up
+  /// rung over one pinned snapshot, free of telemetry concerns. Picks the
+  /// walk backend: the plain walk, the lane-less tracking backend when a
+  /// cache fill must record what the request read, or (sharded) the
+  /// lane-backed scatter-gather backend. Resets a reused `stats` struct up
   /// front so no field of a previous request survives any exit path (error,
   /// cancel, deadline).
   /// `bypass_cache` (replay) skips both the lookup and the fill, so a
@@ -172,6 +206,12 @@ class PqsdaEngine {
       const IndexSnapshot& snap, SuggestStats* stats, bool* cache_hit,
       bool bypass_cache = false) const;
 
+  /// Sharded fetch classification of shard `s` on a request's first touch:
+  /// kShardDegraded when its admission gate refuses, kShardDeadline once
+  /// the request's remaining budget is below the fetch floor, else
+  /// kShardFull.
+  uint8_t ClassifyShard(size_t s, const CancelToken* cancel) const;
+
   /// Post-swap warmup (IndexManager's post-publish hook, rebuild thread):
   /// replays the tail of the configured JSONL request log through
   /// SuggestImpl against `snap`, filling the cache off the serving path.
@@ -179,21 +219,24 @@ class PqsdaEngine {
 
   std::unique_ptr<SuggestionCache> cache_;
   std::unique_ptr<NegativeSuggestionCache> negative_cache_;
-  /// Delta-aware invalidation on: cache keys carry generation 0 and entries
-  /// validate per-component (see PqsdaEngineConfig::cache_delta_aware).
-  bool cache_delta_aware_ = false;
   CacheWarmupOptions warmup_;
 
   RobustnessOptions robustness_;
+  /// Unsharded admission gate; sharded, each ShardState carries its own.
   AdmissionController admission_;
+  /// Query/user routing over the shards (shards = 0 routes everything to 0).
+  ShardRouter router_{0};
+  double fetch_budget_floor_us_ = 0.0;
+  /// Per-shard lane, admission gate and counters; empty when unsharded.
+  std::vector<std::unique_ptr<ShardState>> shards_;
   /// Diversifier options of the degraded rungs, derived once at Build (they
   /// are config-only, so one copy serves every snapshot generation).
   PqsdaDiversifierOptions truncated_options_;
   PqsdaDiversifierOptions walk_only_options_;
 
   /// Declared last so it is destroyed first: ~IndexManager joins in-flight
-  /// rebuilds, whose post-publish warmup hook touches the caches above —
-  /// they must outlive it.
+  /// rebuilds, whose post-publish warmup hook touches the caches and shard
+  /// gates above — they must outlive it.
   std::unique_ptr<IndexManager> index_;
 };
 

@@ -1,18 +1,11 @@
 #include "core/sharded_engine.h"
 
-#include <algorithm>
-#include <iterator>
-#include <string>
-#include <unordered_set>
+#include <condition_variable>
+#include <mutex>
 #include <utility>
 
 #include "common/fault_injector.h"
-#include "common/timer.h"
-#include "obs/metrics.h"
-#include "obs/request_log.h"
 #include "obs/stage_profiler.h"
-#include "obs/telemetry.h"
-#include "suggest/pqsda_diversifier.h"
 
 namespace pqsda {
 
@@ -64,10 +57,10 @@ Status ShardedWalkBackend::Step(BipartiteKind kind,
                                 double scale,
                                 FlatMap<StringId, double>& out) const {
   obs::StageScope stage(obs::ProfileStage::kScatterGather);
-  const BipartiteGraph& g = ctx_->rep().graph(kind);
+  const BipartiteGraph& g = ctx_->mb->graph(kind);
   const CsrMatrix& q2o = g.query_to_object();
   const CsrMatrix& o2q = g.object_to_query();
-  const ShardPartition& part = ctx_->part();
+  const ShardPartition& part = *ctx_->partition;
 
   // Snapshot the frontier in FlatMap insertion order: slot i of `deltas`
   // belongs to frontier row i no matter which thread computes it, so the
@@ -150,8 +143,8 @@ Status ShardedWalkBackend::Step(BipartiteKind kind,
 Status ShardedWalkBackend::QueryRow(BipartiteKind kind, StringId query,
                                     std::span<const uint32_t>& indices,
                                     std::span<const double>& values) const {
-  const CsrMatrix& q2o = ctx_->rep().graph(kind).query_to_object();
-  const ShardPartition& part = ctx_->part();
+  const CsrMatrix& q2o = ctx_->mb->graph(kind).query_to_object();
+  const ShardPartition& part = *ctx_->partition;
   const size_t owner = part.query_owner[query];
   if (owner != ctx_->primary && part.hot[query] == 0) {
     if (ctx_->Touch(owner) != SuggestStats::kShardFull) {
@@ -167,673 +160,6 @@ Status ShardedWalkBackend::QueryRow(BipartiteKind kind, StringId query,
   indices = q2o.RowIndices(query);
   values = q2o.RowValues(query);
   return Status::OK();
-}
-
-struct ShardedEngine::ShardState {
-  std::unique_ptr<ThreadPool> lane;
-  /// This shard's own request-latency window — the live signal of its p95
-  /// admission gate. Deliberately not the global ServingTelemetry
-  /// histogram: a per-shard gate fed process-wide latency would trip on
-  /// every shard the moment one shard is slow.
-  std::unique_ptr<obs::SlidingWindowHistogram> latency;
-  /// Requests of this shard currently executing (the single-request path
-  /// runs on the calling thread and never enqueues on the lane, so the
-  /// queue-depth gate needs this to see non-batch load at all).
-  std::atomic<uint64_t> inflight{0};
-  AdmissionController admission;
-  obs::Counter* requests_total = nullptr;
-  obs::Counter* fetches_total = nullptr;
-  obs::Counter* shed_total = nullptr;
-  obs::Counter* degraded_total = nullptr;
-  obs::Counter* deadline_total = nullptr;
-  obs::Gauge* generation = nullptr;
-};
-
-StatusOr<std::unique_ptr<ShardedEngine>> ShardedEngine::Build(
-    std::vector<QueryLogRecord> records, const PqsdaEngineConfig& config,
-    const ShardedEngineOptions& options) {
-  if (options.shards == 0) {
-    return Status::InvalidArgument("shards must be >= 1");
-  }
-  auto snapshot =
-      BuildIndexSnapshot(std::move(records), config, /*generation=*/0);
-  if (!snapshot.ok()) return snapshot.status();
-
-  std::unique_ptr<ShardedEngine> engine(new ShardedEngine());
-  engine->config_ = config;
-  engine->options_ = options;
-  engine->router_.shards = options.shards;
-  engine->robustness_ = config.robustness;
-  // Degraded-rung options derive exactly as in PqsdaEngine::Build, so every
-  // ladder rung is served identically to the unsharded engine.
-  engine->truncated_options_ = config.diversifier;
-  engine->truncated_options_.regularization.solver_options.max_iterations =
-      config.robustness.truncated_max_iterations;
-  engine->truncated_options_.regularization.solver_options.tolerance =
-      config.robustness.truncated_tolerance;
-  engine->truncated_options_.regularization.accept_nonconverged = true;
-  engine->truncated_options_.hitting_iterations =
-      std::min(config.diversifier.hitting_iterations,
-               config.robustness.truncated_hitting_iterations);
-  engine->walk_only_options_ = config.diversifier;
-  engine->walk_only_options_.walk_only = true;
-
-  if (config.cache_capacity > 0) {
-    SuggestionCacheOptions cache_options;
-    cache_options.capacity = config.cache_capacity;
-    cache_options.shards = config.cache_shards;
-    cache_options.policy = config.cache_policy;
-    cache_options.name = "sharded";
-    engine->cache_ = std::make_unique<SuggestionCache>(cache_options);
-  }
-  if (config.negative_cache_capacity > 0) {
-    engine->negative_cache_ = std::make_unique<NegativeSuggestionCache>(
-        config.negative_cache_capacity);
-  }
-
-  obs::MetricsRegistry& reg = obs::MetricsRegistry::Default();
-  reg.GetGauge("pqsda.shard.count")
-      .Set(static_cast<double>(options.shards));
-
-  engine->states_.reserve(options.shards);
-  for (size_t s = 0; s < options.shards; ++s) {
-    auto state = std::make_unique<ShardState>();
-    state->lane = std::make_unique<ThreadPool>(
-        std::max<size_t>(options.lane_threads, 1));
-    state->latency = std::make_unique<obs::SlidingWindowHistogram>();
-    AdmissionOptions admission;
-    admission.max_queue_depth = options.shard_queue_depth;
-    admission.max_p95_us = options.shard_p95_us;
-    admission.pool = state->lane.get();
-    admission.inflight = &state->inflight;
-    admission.latency = state->latency.get();
-    admission.queue_depth_point =
-        "shard." + std::to_string(s) + ".queue_depth";
-    admission.p95_point = "shard." + std::to_string(s) + ".p95_us";
-    state->admission = AdmissionController(admission);
-    const std::string prefix = "pqsda.shard." + std::to_string(s) + ".";
-    state->requests_total = &reg.GetCounter(prefix + "requests_total");
-    state->fetches_total = &reg.GetCounter(prefix + "fetches_total");
-    state->shed_total = &reg.GetCounter(prefix + "shed_total");
-    state->degraded_total = &reg.GetCounter(prefix + "degraded_total");
-    state->deadline_total = &reg.GetCounter(prefix + "deadline_total");
-    state->generation = &reg.GetGauge(prefix + "generation");
-    engine->states_.push_back(std::move(state));
-  }
-  // Rebuilds get their own thread: the build is global (see ShardedBuild)
-  // and long, so parking it on a single-threaded serving lane would make
-  // that shard slow/shedding for the whole build duration.
-  engine->rebuild_pool_ = std::make_unique<ThreadPool>(1);
-
-  ShardPartitionOptions popts;
-  popts.shards = options.shards;
-  popts.hot_row_min_degree = options.hot_row_min_degree;
-  auto build = std::make_shared<ShardedBuild>();
-  build->build_id = 0;
-  build->base = std::move(*snapshot);
-  build->partition = BuildShardPartition(*build->base->mb, popts);
-  build->shard_generation.assign(options.shards, 0);
-  build->upm_generation = 0;
-  reg.GetGauge("pqsda.shard.replicated_hot_rows")
-      .Set(static_cast<double>(build->partition.replicated_rows));
-  for (size_t s = 0; s < options.shards; ++s) {
-    engine->states_[s]->generation->Set(0.0);
-  }
-  engine->slots_.assign(options.shards, build);
-  engine->latest_ = std::move(build);
-  return engine;
-}
-
-ShardedEngine::~ShardedEngine() { WaitForRebuilds(); }
-
-DegradationRung ShardedEngine::ChooseRung(
-    const SuggestionRequest& request) const {
-  FaultInjector::Default().Hit(faults::kAdmission);
-  size_t rung = std::min<size_t>(robustness_.min_rung, 3);
-  if (request.cancel != nullptr && request.cancel->has_deadline()) {
-    const int64_t remaining_us = request.cancel->RemainingNanos() / 1000;
-    size_t budget_rung = 0;
-    if (remaining_us < robustness_.cache_only_below_us) {
-      budget_rung = 3;
-    } else if (remaining_us < robustness_.walk_only_below_us) {
-      budget_rung = 2;
-    } else if (remaining_us < robustness_.truncated_below_us) {
-      budget_rung = 1;
-    }
-    rung = std::max(rung, budget_rung);
-  }
-  return static_cast<DegradationRung>(rung);
-}
-
-StatusOr<std::vector<Suggestion>> ShardedEngine::Suggest(
-    const SuggestionRequest& request, size_t k, SuggestStats* stats) const {
-  static obs::Counter& requests_total = obs::MetricsRegistry::Default()
-      .GetCounter("pqsda.suggest.requests_total");
-  requests_total.Increment();
-  const size_t primary = router_.QueryShardOf(request.query);
-  states_[primary]->requests_total->Increment();
-
-  Status admit = states_[primary]->admission.Admit();
-  if (!admit.ok()) {
-    states_[primary]->shed_total->Increment();
-    if (stats != nullptr) {
-      *stats = SuggestStats{};
-      stats->shed = true;
-    }
-    obs::ServingTelemetry::Default().RecordRequest(
-        /*latency_us=*/0.0, /*ok=*/false, /*not_found=*/false,
-        cache_ != nullptr, /*cache_hit=*/false, /*shed=*/true);
-    return admit;
-  }
-  return SuggestAdmitted(request, k, primary, stats);
-}
-
-StatusOr<std::vector<Suggestion>> ShardedEngine::SuggestAdmitted(
-    const SuggestionRequest& request, size_t k, size_t primary,
-    SuggestStats* stats) const {
-  obs::MetricsRegistry& reg = obs::MetricsRegistry::Default();
-  static obs::Counter& errors_total =
-      reg.GetCounter("pqsda.suggest.errors_total");
-  static obs::Counter& not_found_total =
-      reg.GetCounter("pqsda.suggest.not_found_total");
-  static obs::Histogram& latency_us =
-      reg.GetHistogram("pqsda.suggest.latency_us");
-  static obs::Counter* rung_totals[4] = {
-      &reg.GetCounter("pqsda.robust.rung_full_total"),
-      &reg.GetCounter("pqsda.robust.rung_truncated_total"),
-      &reg.GetCounter("pqsda.robust.rung_walk_only_total"),
-      &reg.GetCounter("pqsda.robust.rung_cache_only_total")};
-  static obs::Counter& deadline_exceeded_total =
-      reg.GetCounter("pqsda.robust.deadline_exceeded_total");
-  static obs::Counter& cancelled_total =
-      reg.GetCounter("pqsda.robust.cancelled_total");
-
-  // The consistent cut is pinned once, right after admission: every shard
-  // read of this request resolves against one ShardedBuild, so a mid-request
-  // publication neither blocks nor tears the scatter-gather.
-  const std::shared_ptr<const ShardedBuild> build = AcquireConsistent();
-  const DegradationRung rung = ChooseRung(request);
-  rung_totals[static_cast<size_t>(rung)]->Increment();
-
-  // In-flight for the whole pipeline run: this is the part of the primary
-  // shard's load its queue-depth gate cannot see in the lane (single
-  // requests execute right here on the calling thread; batch tasks leave
-  // the queue the moment they start).
-  states_[primary]->inflight.fetch_add(1, std::memory_order_relaxed);
-  obs::StageProfiler& profiler = obs::StageProfiler::Default();
-  profiler.BeginRequest();
-  WallTimer wall;
-  bool cache_hit = false;
-  StatusOr<std::vector<Suggestion>> result =
-      SuggestImpl(request, k, rung, *build, primary, stats, &cache_hit);
-  const double elapsed_us = static_cast<double>(wall.ElapsedNanos()) * 1e-3;
-  profiler.EndRequest(static_cast<size_t>(rung));
-  states_[primary]->inflight.fetch_sub(1, std::memory_order_relaxed);
-  latency_us.Observe(elapsed_us);
-  states_[primary]->latency->Record(elapsed_us);
-
-  const bool ok = result.ok();
-  const bool not_found =
-      !ok && result.status().code() == StatusCode::kNotFound;
-  if (!ok) {
-    (not_found ? not_found_total : errors_total).Increment();
-    if (result.status().code() == StatusCode::kDeadlineExceeded) {
-      deadline_exceeded_total.Increment();
-    } else if (result.status().code() == StatusCode::kCancelled) {
-      cancelled_total.Increment();
-    }
-  }
-  obs::ServingTelemetry::Default().RecordRequest(
-      elapsed_us, ok, not_found, cache_ != nullptr, cache_hit,
-      /*shed=*/false);
-  return result;
-}
-
-StatusOr<std::vector<Suggestion>> ShardedEngine::SuggestImpl(
-    const SuggestionRequest& request, size_t k, DegradationRung rung,
-    const ShardedBuild& build, size_t primary, SuggestStats* stats,
-    bool* cache_hit) const {
-  static obs::Counter& personalized_total = obs::MetricsRegistry::Default()
-      .GetCounter("pqsda.suggest.personalized_total");
-  static obs::Counter& partial_merges_total = obs::MetricsRegistry::Default()
-      .GetCounter("pqsda.sharded.partial_merges_total");
-
-  if (stats != nullptr) {
-    *stats = SuggestStats{};
-    stats->degradation_rung = static_cast<size_t>(rung);
-  }
-
-  SuggestionCache::CacheKey cache_key;
-  SuggestionCache::Validator validator;
-  if (cache_ != nullptr || negative_cache_ != nullptr) {
-    // Generation 0 inside the key: validity is carried by the per-shard
-    // validation vector instead of a scalar generation, so an entry
-    // survives rebuilds that changed no shard it actually read.
-    cache_key = SuggestionCache::KeyOf(request, k, /*generation=*/0);
-    // Grades an entry against the *pinned* build only. The tri-state
-    // matters mid-swap: an entry filled under the incoming build (its
-    // component generations run ahead of this request's consistent cut)
-    // must miss WITHOUT being erased — it is exactly what post-swap readers
-    // want — while an entry behind the cut is dead for good and is erased.
-    validator =
-        [&build](const SuggestionCache::ValidationVector& components) {
-          bool stale = false;
-          for (const auto& [component, gen] : components) {
-            uint64_t current;
-            if (component == ShardServingContext::kUpmComponent) {
-              current = build.upm_generation;
-            } else if (component < build.shard_generation.size()) {
-              current = build.shard_generation[component];
-            } else {
-              return CacheValidity::kStale;  // unknown component: ungradable
-            }
-            if (gen > current) return CacheValidity::kMismatch;
-            if (gen < current) stale = true;
-          }
-          return stale ? CacheValidity::kStale : CacheValidity::kValid;
-        };
-  }
-  if (cache_ != nullptr) {
-    std::vector<Suggestion> cached;
-    bool hit;
-    {
-      obs::StageScope cache_scope(obs::ProfileStage::kCache);
-      obs::StageProfiler::AddWork(obs::ProfileStage::kCache, 1);
-      hit = cache_->Lookup(cache_key, &cached, validator);
-    }
-    if (hit) {
-      *cache_hit = true;
-      if (stats != nullptr) stats->suggestions_returned = cached.size();
-      return cached;
-    }
-  }
-  if (negative_cache_ != nullptr &&
-      negative_cache_->Lookup(cache_key, validator)) {
-    // A confirmed-NotFound request: absorbed here, the shards are never
-    // touched.
-    if (stats != nullptr) stats->negative_cache_hit = true;
-    return Status::NotFound("no suggestions for \"" + request.query +
-                            "\" (negative cache)");
-  }
-  if (rung == DegradationRung::kCacheOnly) {
-    return Status::NotFound("cache-only rung: no cached result for \"" +
-                            request.query + "\"");
-  }
-
-  ShardServingContext ctx;
-  ctx.build = &build;
-  ctx.mb = build.base->mb.get();
-  ctx.partition = &build.partition;
-  ctx.router = router_;
-  ctx.primary = primary;
-  ctx.rung.assign(options_.shards, SuggestStats::kShardUntouched);
-  ctx.shard_fetches.assign(options_.shards, 0);
-  // The primary shard passed request-level admission; it serves its own
-  // rows unconditionally.
-  ctx.rung[primary] = SuggestStats::kShardFull;
-  ctx.classify = [this, cancel = request.cancel](size_t s) -> uint8_t {
-    FaultInjector& injector = FaultInjector::Default();
-    if (injector.Value(faults::kShardShedShard, -1) ==
-        static_cast<int64_t>(s)) {
-      return SuggestStats::kShardDegraded;
-    }
-    if (injector.Value(faults::kShardDeadlineShard, -1) ==
-        static_cast<int64_t>(s)) {
-      return SuggestStats::kShardDeadline;
-    }
-    // The per-fetch deadline floor: once the request's remaining budget has
-    // collapsed below fetch_budget_floor_us (or the deadline has passed
-    // outright), fetches to shards not yet touched are refused — the shard
-    // classifies kShardDeadline for the rest of the request and its cold
-    // rows drop, loudly, instead of remote reads eating the budget the
-    // rest of the pipeline still needs.
-    if (cancel != nullptr && cancel->has_deadline() &&
-        (cancel->expired() ||
-         static_cast<double>(cancel->RemainingNanos()) * 1e-3 <
-             options_.fetch_budget_floor_us)) {
-      return SuggestStats::kShardDeadline;
-    }
-    if (!states_[s]->admission.Admit().ok()) {
-      return SuggestStats::kShardDegraded;
-    }
-    return SuggestStats::kShardFull;
-  };
-
-  std::vector<ThreadPool*> lanes;
-  lanes.reserve(states_.size());
-  for (const auto& state : states_) lanes.push_back(state->lane.get());
-  ShardedWalkBackend backend(&ctx, std::move(lanes));
-
-  const PqsdaDiversifierOptions* div_options =
-      &build.base->diversifier->options();
-  if (rung == DegradationRung::kTruncatedSolve) div_options = &truncated_options_;
-  if (rung == DegradationRung::kWalkOnly) div_options = &walk_only_options_;
-
-  // Per-request diversifier bound to the scatter-gather backend: only the
-  // §IV-A row reads go through the shards; the solve, selection and rerank
-  // run unchanged on the merged compact representation.
-  PqsdaDiversifier diversifier(*build.base->mb, *div_options, &backend);
-  auto diversified = diversifier.DiversifyWith(request, k, *div_options, stats);
-
-  Status status = Status::OK();
-  std::vector<Suggestion> list;
-  bool reranked = false;
-  if (diversified.ok()) {
-    list = std::move(diversified->candidates);
-    if (rung != DegradationRung::kWalkOnly &&
-        build.base->personalizer != nullptr && request.user != kNoUser) {
-      // The UPM is sharded by user hash: the §V-B rerank requires the
-      // user's home shard. A degraded home shard serves the diversified
-      // list unpersonalized — loudly (partial flag + rung) — instead of
-      // failing the request.
-      const size_t user_shard = router_.UserShardOf(request.user);
-      if (ctx.Touch(user_shard) == SuggestStats::kShardFull) {
-        list = build.base->personalizer->Rerank(request.user, list);
-        personalized_total.Increment();
-        reranked = true;
-        if (stats != nullptr) stats->personalized = true;
-      }
-    }
-  } else {
-    status = diversified.status();
-  }
-
-  // Per-shard accounting runs on every exit path so a degraded shard is
-  // never silent, then the stats snapshot mirrors it per request.
-  for (size_t s = 0; s < ctx.rung.size(); ++s) {
-    if (ctx.rung[s] == SuggestStats::kShardDegraded) {
-      states_[s]->degraded_total->Increment();
-    } else if (ctx.rung[s] == SuggestStats::kShardDeadline) {
-      states_[s]->deadline_total->Increment();
-    }
-    if (ctx.shard_fetches[s] > 0) {
-      states_[s]->fetches_total->Increment(ctx.shard_fetches[s]);
-    }
-  }
-  if (ctx.partial) partial_merges_total.Increment();
-  if (stats != nullptr) {
-    stats->shard_rungs = ctx.rung;
-    stats->shards_touched = ctx.TouchedShards();
-    stats->partial_merge = ctx.partial;
-    if (status.ok()) stats->suggestions_returned = list.size();
-  }
-  if (!status.ok()) {
-    // A full-rung, full-merge NotFound is a property of the index (the
-    // query is unknown), not of this request's luck — record it so the
-    // next storm of lookups is absorbed. The entry depends on the query's
-    // *owning* shard: its content fingerprint covers the owned query-string
-    // set, so an ingested record that makes the query known bumps that
-    // shard's generation and kills the entry.
-    if (negative_cache_ != nullptr && rung == DegradationRung::kFull &&
-        !ctx.partial && status.code() == StatusCode::kNotFound) {
-      const uint32_t owner =
-          static_cast<uint32_t>(router_.QueryShardOf(request.query));
-      SuggestionCache::ValidationVector components;
-      components.emplace_back(owner, build.shard_generation[owner]);
-      negative_cache_->Insert(cache_key, std::move(components));
-    }
-    return status;
-  }
-
-  // Only full-rung, full-merge results fill the cache — a partial merge is
-  // served but never cached (it would outlive the one shard's overload that
-  // caused it). The validation vector records exactly what the entry read.
-  if (cache_ != nullptr && rung == DegradationRung::kFull && !ctx.partial) {
-    SuggestionCache::ValidationVector components;
-    for (size_t s = 0; s < ctx.rung.size(); ++s) {
-      if (ctx.rung[s] != SuggestStats::kShardUntouched) {
-        components.emplace_back(static_cast<uint32_t>(s),
-                                build.shard_generation[s]);
-      }
-    }
-    if (reranked) {
-      components.emplace_back(ShardServingContext::kUpmComponent,
-                              build.upm_generation);
-    }
-    cache_->Insert(cache_key, list, std::move(components));
-  }
-  return list;
-}
-
-std::vector<StatusOr<std::vector<Suggestion>>> ShardedEngine::SuggestBatch(
-    std::span<const SuggestionRequest> requests, size_t k) const {
-  obs::MetricsRegistry& reg = obs::MetricsRegistry::Default();
-  static obs::Counter& batches_total =
-      reg.GetCounter("pqsda.suggest.batches_total");
-  static obs::Counter& requests_total =
-      reg.GetCounter("pqsda.suggest.requests_total");
-  batches_total.Increment();
-
-  std::vector<StatusOr<std::vector<Suggestion>>> results(
-      requests.size(), Status::Internal("request not served"));
-  std::mutex mu;
-  std::condition_variable cv;
-  size_t pending = 0;
-  for (size_t i = 0; i < requests.size(); ++i) {
-    requests_total.Increment();
-    const size_t primary = router_.QueryShardOf(requests[i].query);
-    states_[primary]->requests_total->Increment();
-    // Admission at submit time against the primary lane's *current* queue
-    // depth: a burst that overfills one shard's lane sheds there while the
-    // other lanes keep admitting, so admitted throughput scales with the
-    // shard count instead of saturating one global gate.
-    Status admit = states_[primary]->admission.Admit();
-    if (!admit.ok()) {
-      states_[primary]->shed_total->Increment();
-      obs::ServingTelemetry::Default().RecordRequest(
-          /*latency_us=*/0.0, /*ok=*/false, /*not_found=*/false,
-          cache_ != nullptr, /*cache_hit=*/false, /*shed=*/true);
-      results[i] = admit;
-      continue;
-    }
-    {
-      std::lock_guard<std::mutex> lock(mu);
-      ++pending;
-    }
-    states_[primary]->lane->Submit(
-        [this, &requests, &results, &mu, &cv, &pending, i, k, primary] {
-          results[i] = SuggestAdmitted(requests[i], k, primary,
-                                       /*stats=*/nullptr);
-          // Notify under the lock: the caller destroys mu/cv once it
-          // observes pending == 0.
-          std::lock_guard<std::mutex> lock(mu);
-          --pending;
-          cv.notify_one();
-        });
-  }
-  std::unique_lock<std::mutex> lock(mu);
-  cv.wait(lock, [&pending] { return pending == 0; });
-  return results;
-}
-
-Status ShardedEngine::Ingest(QueryLogRecord record) {
-  std::lock_guard<std::mutex> lock(delta_mu_);
-  if (delta_.size() >= config_.ingest.max_delta_records) {
-    return Status::Unavailable(
-        "delta buffer full (" + std::to_string(delta_.size()) +
-        " records): retry after the next rebuild");
-  }
-  delta_.push_back(std::move(record));
-  if (delta_.size() >= config_.ingest.rebuild_min_records &&
-      !rebuild_scheduled_) {
-    rebuild_scheduled_ = true;
-    // The coalescing rebuild task runs on the dedicated rebuild thread,
-    // never a serving lane: the build is global (the cfiqf IQF term — see
-    // ShardedBuild) and long, and a single-threaded lane carrying it could
-    // not serve batch requests or scatter fetches until it finished.
-    rebuild_pool_->Submit([this] { RebuildLoop(); });
-  }
-  return Status::OK();
-}
-
-void ShardedEngine::RebuildLoop() {
-  for (;;) {
-    std::vector<QueryLogRecord> batch;
-    {
-      std::lock_guard<std::mutex> lock(delta_mu_);
-      if (delta_.empty()) {
-        rebuild_scheduled_ = false;
-        rebuild_idle_.notify_all();
-        return;
-      }
-      batch = std::move(delta_);
-      delta_.clear();
-    }
-    // A failed build drops the batch but keeps draining: the scheduled
-    // flag must clear even when a build errors.
-    (void)RebuildWith(std::move(batch));
-  }
-}
-
-Status ShardedEngine::RebuildNow() {
-  std::vector<QueryLogRecord> batch;
-  {
-    std::lock_guard<std::mutex> lock(delta_mu_);
-    batch = std::move(delta_);
-    delta_.clear();
-  }
-  if (batch.empty()) return Status::OK();
-  return RebuildWith(std::move(batch));
-}
-
-void ShardedEngine::WaitForRebuilds() {
-  std::unique_lock<std::mutex> lock(delta_mu_);
-  rebuild_idle_.wait(lock, [this] { return !rebuild_scheduled_; });
-}
-
-size_t ShardedEngine::delta_depth() const {
-  std::lock_guard<std::mutex> lock(delta_mu_);
-  return delta_.size();
-}
-
-Status ShardedEngine::RebuildWith(std::vector<QueryLogRecord> batch) {
-  std::lock_guard<std::mutex> build_lock(build_mu_);
-  std::shared_ptr<const ShardedBuild> base;
-  {
-    std::lock_guard<std::mutex> lock(pub_mu_);
-    base = latest_;
-  }
-  // Same record concatenation as the unsharded IndexManager (base records +
-  // deltas in ingest order, re-sorted inside the build), through the single
-  // global build path — which is what makes the sharded engine's rebuilds
-  // bitwise-equivalent to the unsharded engine's.
-  std::vector<QueryLogRecord> records = base->base->records;
-  records.insert(records.end(), std::make_move_iterator(batch.begin()),
-                 std::make_move_iterator(batch.end()));
-  auto snapshot = BuildIndexSnapshot(std::move(records), config_,
-                                     base->base->generation + 1);
-  if (!snapshot.ok()) return snapshot.status();
-
-  ShardPartitionOptions popts;
-  popts.shards = options_.shards;
-  popts.hot_row_min_degree = options_.hot_row_min_degree;
-  auto next = std::make_shared<ShardedBuild>();
-  next->build_id = base->build_id + 1;
-  next->base = std::move(*snapshot);
-  next->partition = BuildShardPartition(*next->base->mb, popts);
-  next->shard_generation.resize(options_.shards);
-  for (size_t s = 0; s < options_.shards; ++s) {
-    // A shard's generation moves only when its served slice actually
-    // changed. The content fingerprint is defined over strings and row
-    // contents (id-renumbering-proof), so a rebuild that only touched other
-    // shards leaves this shard's generation — and every cache entry that
-    // read only it — valid.
-    next->shard_generation[s] =
-        next->partition.shard[s].content_fingerprint ==
-                base->partition.shard[s].content_fingerprint
-            ? base->shard_generation[s]
-            : next->base->generation;
-  }
-  next->upm_generation = config_.personalize ? next->base->generation
-                                             : base->upm_generation;
-  obs::MetricsRegistry::Default()
-      .GetGauge("pqsda.shard.replicated_hot_rows")
-      .Set(static_cast<double>(next->partition.replicated_rows));
-  std::shared_ptr<const ShardedBuild> published = next;
-  Publish(std::move(next));
-  // Warmup runs here on the rebuild thread, after serving traffic already
-  // sees the new build: replayed head queries fill the cache off-path.
-  WarmupCache(*published);
-  return Status::OK();
-}
-
-void ShardedEngine::WarmupCache(const ShardedBuild& build) const {
-  if (cache_ == nullptr || config_.cache_warmup.log_path.empty()) return;
-  obs::MetricsRegistry& reg = obs::MetricsRegistry::Default();
-  static obs::Counter& replayed_total =
-      reg.GetCounter("pqsda.cache.warmup_replayed_total");
-  static obs::Counter& hits_total =
-      reg.GetCounter("pqsda.cache.warmup_hits_total");
-  static obs::Counter& filled_total =
-      reg.GetCounter("pqsda.cache.warmup_filled_total");
-  auto entries =
-      obs::ReadRequestLog(config_.cache_warmup.log_path, /*max_entries=*/0);
-  if (!entries.ok()) return;
-  // Newest entries first, deduplicated by cache key: the tail of the log is
-  // the best estimate of the head of the live distribution.
-  std::unordered_set<std::string> seen;
-  size_t replayed = 0;
-  for (auto it = entries->rbegin();
-       it != entries->rend() && replayed < config_.cache_warmup.max_requests;
-       ++it) {
-    const obs::RequestLogEntry& e = *it;
-    if (!e.ok) continue;
-    SuggestionRequest request;
-    request.query = e.query;
-    request.user = e.user;
-    request.timestamp = e.timestamp;
-    request.context = e.context;
-    const SuggestionCache::CacheKey key =
-        SuggestionCache::KeyOf(request, e.k, /*generation=*/0);
-    if (!seen.insert(key.full).second) continue;
-    ++replayed;
-    replayed_total.Increment();
-    bool hit = false;
-    const size_t primary = router_.QueryShardOf(request.query);
-    auto result = SuggestImpl(request, e.k, DegradationRung::kFull, build,
-                              primary, /*stats=*/nullptr, &hit);
-    if (hit) {
-      hits_total.Increment();
-    } else if (result.ok()) {
-      filled_total.Increment();
-    }
-  }
-}
-
-void ShardedEngine::Publish(std::shared_ptr<const ShardedBuild> next) {
-  FaultInjector& injector = FaultInjector::Default();
-  std::lock_guard<std::mutex> lock(pub_mu_);
-  for (size_t s = 0; s < slots_.size(); ++s) {
-    injector.Hit(faults::kShardSwap);
-    if (injector.Value(faults::kShardSwapHoldback, -1) ==
-        static_cast<int64_t>(s)) {
-      // This slot keeps serving its previous build ("one shard mid-swap");
-      // AcquireConsistent falls back to the newest build every slot holds.
-      continue;
-    }
-    slots_[s] = next;
-    states_[s]->generation->Set(
-        static_cast<double>(next->shard_generation[s]));
-  }
-  latest_ = std::move(next);
-}
-
-std::shared_ptr<const ShardedBuild> ShardedEngine::AcquireConsistent() const {
-  std::lock_guard<std::mutex> lock(pub_mu_);
-  std::shared_ptr<const ShardedBuild> oldest = slots_[0];
-  for (size_t s = 1; s < slots_.size(); ++s) {
-    if (slots_[s]->build_id < oldest->build_id) oldest = slots_[s];
-  }
-  return oldest;
-}
-
-void ShardedEngine::SyncShards() {
-  std::lock_guard<std::mutex> lock(pub_mu_);
-  for (size_t s = 0; s < slots_.size(); ++s) {
-    slots_[s] = latest_;
-    states_[s]->generation->Set(
-        static_cast<double>(latest_->shard_generation[s]));
-  }
 }
 
 }  // namespace pqsda

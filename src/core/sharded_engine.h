@@ -1,106 +1,46 @@
 #ifndef PQSDA_CORE_SHARDED_ENGINE_H_
 #define PQSDA_CORE_SHARDED_ENGINE_H_
 
-#include <condition_variable>
 #include <cstdint>
 #include <functional>
 #include <memory>
-#include <mutex>
+#include <optional>
 #include <span>
-#include <string>
 #include <vector>
 
 #include "common/status.h"
 #include "common/thread_pool.h"
-#include "core/admission.h"
 #include "core/engine_config.h"
 #include "core/index_manager.h"
-#include "core/shard_router.h"
+#include "core/pqsda_engine.h"
 #include "graph/compact_builder.h"
 #include "graph/shard_partition.h"
 #include "suggest/suggest_stats.h"
-#include "suggest/suggestion_cache.h"
 
 namespace pqsda {
 
-/// Knobs of the sharded scatter-gather serving path.
-struct ShardedEngineOptions {
-  /// Number of index shards (per-shard snapshot slot, admission gate and
-  /// single-threaded serving lane). 1 is a valid degenerate configuration —
-  /// the differential harness uses it as the bridge case.
-  size_t shards = 4;
-  /// Hot-boundary replication threshold (see ShardPartitionOptions). 0
-  /// disables replication.
-  size_t hot_row_min_degree = 48;
-  /// Worker threads per shard lane. The lanes exist for *admission
-  /// isolation* (each shard's queue depth is its own shedding signal), so 1
-  /// is the intended size.
-  size_t lane_threads = 1;
-  /// Per-shard admission gates, same semantics as AdmissionOptions: a
-  /// request sheds at its primary shard's gate, a cross-shard fetch degrades
-  /// (only) the refusing shard. 0 disables each gate. The queue-depth gate
-  /// reads the shard's lane depth plus its in-flight request count (the
-  /// single-request path executes on the calling thread, so queued tasks
-  /// alone would miss it); the p95 gate reads the shard's *own* latency
-  /// window, never the process-wide percentile — one slow shard must not
-  /// trip every shard's gate.
-  size_t shard_queue_depth = 0;
-  double shard_p95_us = 0.0;
-  /// Per-fetch deadline floor (microseconds): a cross-shard fetch is not
-  /// attempted once the request's remaining deadline budget falls below
-  /// this — the owning shard is classified kShardDeadline on touch and its
-  /// cold rows drop, spending what little budget remains on finishing the
-  /// pipeline instead of on remote reads that would blow the deadline. The
-  /// default matches RobustnessOptions::cache_only_below_us: a budget that
-  /// has collapsed into cache-only territory mid-request stops paying for
-  /// fetches. 0 disables the floor (expired deadlines still refuse
-  /// fetches). Requests without a deadline are unaffected.
-  double fetch_budget_floor_us = 2'000.0;
-};
-
-/// One immutable published state of the sharded engine: the underlying
-/// full snapshot (single global build — the cfiqf weighting carries a global
-/// IQF term, so shards cannot rebuild independently yet; see ROADMAP), its
-/// partition, and the per-component generation vector the cache validates
-/// against. `shard_generation[s]` bumps only when shard s's
-/// content_fingerprint changed in a rebuild, which is what makes a
-/// single-shard delta invalidate only cache entries that touched s.
-struct ShardedBuild {
-  uint64_t build_id = 0;
-  std::shared_ptr<const IndexSnapshot> base;
-  ShardPartition partition;
-  std::vector<uint64_t> shard_generation;
-  /// Generation of the UPM/personalizer (component id 0xFFFFFFFF in cache
-  /// validation vectors); bumps on every rebuild that retrained it.
-  uint64_t upm_generation = 0;
-};
-
-/// Per-request scatter-gather state shared between the coordinator and its
-/// walk backend. Public so the merge-correctness unit tests can drive
-/// ShardedWalkBackend directly against adversarial inputs.
+/// Per-request scatter-gather state shared between PqsdaEngine's request
+/// path and its walk backend. Public so the merge-correctness unit tests can
+/// drive ShardedWalkBackend directly against adversarial inputs.
 ///
-/// The walk backend reads only `mb` + `partition` (+ routing state), so the
-/// context works without a ShardedBuild: the unsharded engine instantiates
-/// it over a snapshot's validation partition to *track* which fingerprinted
-/// components a request read (every shard classified kShardFull, no
-/// fetches), which is how delta-aware cache entries learn their
-/// ValidationVector. The sharded engine's SuggestImpl sets all three.
+/// Unsharded, the engine instantiates it over the snapshot's validation
+/// partition only to *track* which fingerprinted components a request read
+/// (every shard classified kShardFull, no fetches) — which is how cache
+/// entries learn their ValidationVector. Sharded, `classify` additionally
+/// consults the per-shard admission gates and the fetch deadline floor.
 struct ShardServingContext {
   static constexpr uint32_t kUpmComponent = 0xFFFFFFFFu;
 
-  const ShardedBuild* build = nullptr;
-  /// The representation and partition the walk reads. With a ShardedBuild
-  /// these are build->base->mb / &build->partition.
+  /// The representation and partition the walk reads.
   const MultiBipartite* mb = nullptr;
   const ShardPartition* partition = nullptr;
-  ShardRouter router;
   /// The request's home shard (query-hash). Its rung is preset kShardFull:
   /// request-level admission already passed there.
   size_t primary = 0;
   /// Engine-supplied classification of a shard on first touch:
-  /// SuggestStats::kShardFull or kShardDegraded/kShardDeadline. Resolved
-  /// once per shard per request (cached in `rung`), on the coordinating
-  /// thread only.
+  /// SuggestStats::kShardFull or kShardDegraded/kShardDeadline (null: always
+  /// kShardFull). Resolved once per shard per request (cached in `rung`),
+  /// on the coordinating thread only.
   std::function<uint8_t(size_t)> classify;
   /// Per-shard serving rung, SuggestStats::kShardUntouched until touched.
   std::vector<uint8_t> rung;
@@ -114,16 +54,6 @@ struct ShardServingContext {
   /// first call. Must be called from the coordinating thread.
   uint8_t Touch(size_t s);
   size_t TouchedShards() const;
-
-  /// The representation / partition the walk reads, falling back to the
-  /// ShardedBuild when the explicit pointers were not set (existing tests
-  /// construct contexts with only `build`).
-  const MultiBipartite& rep() const {
-    return mb != nullptr ? *mb : *build->base->mb;
-  }
-  const ShardPartition& part() const {
-    return partition != nullptr ? *partition : build->partition;
-  }
 };
 
 /// CompactWalkBackend over a ShardPartition: hot and primary-owned rows are
@@ -156,137 +86,44 @@ class ShardedWalkBackend final : public CompactWalkBackend {
   std::vector<ThreadPool*> lanes_;
 };
 
-/// Scatter-gather serving over a sharded index: requests route to a primary
-/// shard (admission + lane), the §IV-A expansion gathers rows from the
-/// shards that own them, and the merged compact representation then runs the
-/// unchanged solve/selection/personalization pipeline — so served lists are
-/// semantically (in fact bitwise) identical to the unsharded PqsdaEngine
-/// while admission capacity scales with the shard count and a slow shard
-/// degrades alone instead of taking the request down.
+/// The sharding knobs under their historical name.
+using ShardedEngineOptions = ShardingOptions;
+
+/// A PqsdaEngine built with `config.sharding = options`, behind the call
+/// surface the benchmark harness (perfbench/) still uses.
 class ShardedEngine {
  public:
   static StatusOr<std::unique_ptr<ShardedEngine>> Build(
-      std::vector<QueryLogRecord> records, const PqsdaEngineConfig& config,
-      const ShardedEngineOptions& options);
-  ~ShardedEngine();
-
-  ShardedEngine(const ShardedEngine&) = delete;
-  ShardedEngine& operator=(const ShardedEngine&) = delete;
-
-  /// One request through admission (primary shard's gate), the consistent-
-  /// cut build acquisition, and the scatter-gather pipeline. `stats`, when
-  /// non-null, additionally receives the per-shard serving rungs and the
-  /// partial-merge flag on top of the usual pipeline breakdown.
-  StatusOr<std::vector<Suggestion>> Suggest(const SuggestionRequest& request,
-                                            size_t k,
-                                            SuggestStats* stats = nullptr) const;
-
-  /// Routes each request onto its primary shard's lane, admitting at submit
-  /// time against that lane's queue depth — this is what makes admitted
-  /// throughput scale with the shard count: N lanes shed independently at
-  /// depth D instead of one global gate shedding at depth D. Results arrive
-  /// in request order; a shed request's slot holds the kUnavailable status.
-  std::vector<StatusOr<std::vector<Suggestion>>> SuggestBatch(
-      std::span<const SuggestionRequest> requests, size_t k) const;
-
-  /// Live ingestion into the global delta buffer (kUnavailable past the
-  /// configured backpressure bound). Crossing the rebuild threshold
-  /// schedules one coalescing rebuild task on the dedicated rebuild thread
-  /// — never on a serving lane, which must stay free for request work (a
-  /// global rebuild parked on a single-threaded lane would make that shard
-  /// slow/shedding for the whole build).
-  Status Ingest(QueryLogRecord record);
-  /// Drains the delta buffer and rebuilds/publishes on the calling thread
-  /// (no-op OK when empty). Serialized against the async rebuild task.
-  Status RebuildNow();
-  /// Blocks until no asynchronous rebuild task is scheduled or running.
-  void WaitForRebuilds();
-
-  /// The consistent cut: the newest build *every* shard slot can serve —
-  /// i.e. the minimum build_id across the per-shard publication slots. With
-  /// no swap in flight all slots agree; while one shard holds back
-  /// mid-swap, requests pin the previous build whole, so they stay
-  /// bitwise-equal to an unsharded engine at that record set (never a mix
-  /// of generations).
-  std::shared_ptr<const ShardedBuild> AcquireConsistent() const;
-
-  /// Test hook: republishes the newest build to every shard slot (used
-  /// after a faults::kShardSwapHoldback experiment is disarmed).
-  void SyncShards();
-
-  size_t shards() const { return options_.shards; }
-  const ShardRouter& router() const { return router_; }
-  const ShardedEngineOptions& options() const { return options_; }
-  const SuggestionCache* cache() const { return cache_.get(); }
-  /// Null when the negative-result cache is disabled.
-  const NegativeSuggestionCache* negative_cache() const {
-    return negative_cache_.get();
+      std::vector<QueryLogRecord> records, PqsdaEngineConfig config,
+      const ShardedEngineOptions& options) {
+    config.sharding = options;
+    auto engine = PqsdaEngine::Build(std::move(records), config);
+    if (!engine.ok()) return engine.status();
+    return std::unique_ptr<ShardedEngine>(
+        new ShardedEngine(std::move(*engine)));
   }
-  size_t delta_depth() const;
 
-  /// The degradation rung a request admitted now would be served at (same
-  /// ladder as PqsdaEngine::ChooseRung; fires faults::kAdmission).
-  DegradationRung ChooseRung(const SuggestionRequest& request) const;
+  StatusOr<std::vector<Suggestion>> Suggest(
+      const SuggestionRequest& request, size_t k,
+      SuggestStats* stats = nullptr) const {
+    return engine_->Suggest(request, k, stats);
+  }
+  Status Ingest(QueryLogRecord record) const {
+    return engine_->Ingest(std::move(record));
+  }
+  Status RebuildNow() const { return engine_->index_manager().RebuildNow(); }
+  void WaitForRebuilds() const { engine_->index_manager().WaitForRebuilds(); }
+
+  /// The published snapshot, as `AcquireConsistent()->base`.
+  struct Published { std::shared_ptr<const IndexSnapshot> base; };
+  std::optional<Published> AcquireConsistent() const {
+    return Published{engine_->AcquireIndex()};
+  }
 
  private:
-  struct ShardState;
-
-  ShardedEngine() = default;
-
-  StatusOr<std::vector<Suggestion>> SuggestAdmitted(
-      const SuggestionRequest& request, size_t k, size_t primary,
-      SuggestStats* stats) const;
-  StatusOr<std::vector<Suggestion>> SuggestImpl(
-      const SuggestionRequest& request, size_t k, DegradationRung rung,
-      const ShardedBuild& build, size_t primary, SuggestStats* stats,
-      bool* cache_hit) const;
-
-  /// One drain -> build -> publish cycle over `batch` (serialized by
-  /// build_mu_). Empty batch is a no-op OK.
-  Status RebuildWith(std::vector<QueryLogRecord> batch);
-  /// Body of the async rebuild task: drain-build-publish until the delta
-  /// buffer is empty, then clear the scheduled flag.
-  void RebuildLoop();
-  /// Swaps `next` into the per-shard publication slots (each slot fires
-  /// faults::kShardSwap and honors faults::kShardSwapHoldback) and updates
-  /// the per-shard generation gauges.
-  void Publish(std::shared_ptr<const ShardedBuild> next);
-  /// Post-swap warmup on the rebuild thread: replays the tail of the
-  /// configured JSONL request log through SuggestImpl against `build`, so
-  /// head queries are resident before traffic asks for them. No-op when
-  /// warmup or the cache is disabled.
-  void WarmupCache(const ShardedBuild& build) const;
-
-  PqsdaEngineConfig config_;
-  ShardedEngineOptions options_;
-  ShardRouter router_;
-
-  std::vector<std::unique_ptr<ShardState>> states_;
-  std::unique_ptr<SuggestionCache> cache_;
-  std::unique_ptr<NegativeSuggestionCache> negative_cache_;
-
-  RobustnessOptions robustness_;
-  PqsdaDiversifierOptions truncated_options_;
-  PqsdaDiversifierOptions walk_only_options_;
-
-  /// Per-shard publication slots + the newest build. pub_mu_ guards only
-  /// the shared_ptr swaps/copies.
-  mutable std::mutex pub_mu_;
-  std::vector<std::shared_ptr<const ShardedBuild>> slots_;
-  std::shared_ptr<const ShardedBuild> latest_;
-
-  /// Global delta buffer (single build path — see ShardedBuild).
-  mutable std::mutex delta_mu_;
-  std::vector<QueryLogRecord> delta_;
-  bool rebuild_scheduled_ = false;
-  mutable std::condition_variable rebuild_idle_;
-
-  /// Serializes builds (async task vs RebuildNow).
-  std::mutex build_mu_;
-
-  /// Runs the coalescing RebuildLoop tasks. Declared last so it is joined
-  /// first in destruction, while every member a rebuild touches is alive.
-  std::unique_ptr<ThreadPool> rebuild_pool_;
+  explicit ShardedEngine(std::unique_ptr<PqsdaEngine> engine)
+      : engine_(std::move(engine)) {}
+  std::unique_ptr<PqsdaEngine> engine_;
 };
 
 }  // namespace pqsda

@@ -10,7 +10,8 @@
 
 namespace pqsda {
 
-/// Partitioning knobs for the sharded serving path.
+/// Partitioning knobs: the serving shards, or unsharded the cache
+/// validation components (see IndexSnapshot::partition).
 struct ShardPartitionOptions {
   size_t shards = 1;
   /// Query rows whose total query->object degree (summed over the three
@@ -58,10 +59,10 @@ struct ShardPartition {
     /// Covering adjacent objects' whole rows (not just their identities)
     /// matters: an edge-count delta on a query owned by another shard
     /// still changes the contributions flowing through a shared object
-    /// into this shard's rows. The sharded engine bumps a shard's
-    /// generation only on a fingerprint change, which is what lets a
-    /// single-shard delta invalidate only the cache entries whose served
-    /// content it could actually have affected.
+    /// into this shard's rows. IndexManager bumps a shard's generation only
+    /// on a fingerprint change, which is what lets a single-shard delta
+    /// invalidate only the cache entries whose served content it could
+    /// actually have affected.
     uint64_t content_fingerprint = 0;
   };
   std::vector<PerShard> shard;

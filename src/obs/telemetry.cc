@@ -463,7 +463,7 @@ std::string ServingTelemetry::StatuszJson() const {
              reg.GetCounter("pqsda.ingest.rebuild_failures_total").Value());
   out += "}";
 
-  // Sharded serving (present only when a ShardedEngine has published its
+  // Sharded serving (present only when a sharded engine has published its
   // shard count): per-shard traffic, degradation and generation, plus the
   // coordinator-level partial-merge total. All names are stable
   // pqsda.shard.<i>.* registry entries so the section costs nothing when

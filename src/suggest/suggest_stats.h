@@ -49,11 +49,11 @@ struct SuggestStats {
   bool negative_cache_hit = false;
 
   /// Per-shard serving rung of a scatter-gather request (one slot per
-  /// shard, ShardedEngine only; empty on the unsharded engine). kShardFull:
+  /// shard when ShardingOptions::shards >= 1; empty unsharded). kShardFull:
   /// the shard served every row asked of it. kShardDegraded: its admission
   /// gate refused, so only its hot replicated rows were served.
   /// kShardDeadline: the request's remaining deadline budget had fallen
-  /// below ShardedEngineOptions::fetch_budget_floor_us (or the deadline had
+  /// below ShardingOptions::fetch_budget_floor_us (or the deadline had
   /// passed) when the shard was first touched, so the fetch was refused and
   /// cold rows dropped from then on; tests can also force it per shard via
   /// faults::kShardDeadlineShard. kShardUntouched: the request never needed

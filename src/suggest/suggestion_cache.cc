@@ -114,9 +114,8 @@ std::vector<const SuggestionCache*>& Registry() {
 struct SuggestionCache::Shard {
   struct Entry {
     std::vector<Suggestion> value;
-    /// Empty when the entry's generation lives inside the key string (the
-    /// whole-generation path); otherwise the per-component generations the
-    /// entry was built against, graded by validating Lookups.
+    /// The per-component generations the entry was built against, graded
+    /// by validating Lookups (empty: nothing to grade, always valid).
     ValidationVector components;
   };
   mutable std::mutex mu;
@@ -155,7 +154,7 @@ SuggestionCache::CacheKey::CacheKey(std::string full_key)
     : hash(std::hash<std::string>{}(full_key)), full(std::move(full_key)) {}
 
 SuggestionCache::CacheKey SuggestionCache::KeyOf(
-    const SuggestionRequest& request, size_t k, uint64_t generation) {
+    const SuggestionRequest& request, size_t k) {
   std::string key = request.query;
   key += '\x1f';
   key += SerializeContext(request);
@@ -163,8 +162,6 @@ SuggestionCache::CacheKey SuggestionCache::KeyOf(
   key += std::to_string(request.user);
   key += '\x1f';
   key += std::to_string(k);
-  key += '\x1f';
-  key += std::to_string(generation);
   return CacheKey(std::move(key));
 }
 

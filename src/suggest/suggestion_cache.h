@@ -28,7 +28,7 @@ struct SuggestionCacheOptions {
   /// Replacement policy of each shard (see CachePolicyKind). LRU is the
   /// baseline; ARC/CAR adapt against scan pollution.
   CachePolicyKind policy = CachePolicyKind::kLru;
-  /// Instance name on /statusz ("suggest", "sharded", ...).
+  /// Instance name on /statusz.
   std::string name = "suggest";
 };
 
@@ -49,11 +49,13 @@ enum class CacheValidity {
 };
 
 /// Sharded cache of finished suggestion lists, keyed by the full
-/// (query, context offsets, user, k, index generation) tuple. Heavy serving
-/// traffic is Zipf-shaped —
-/// the same head queries arrive over and over — so a small cache absorbs a
-/// large fraction of requests before they reach the expansion/solve/
-/// selection pipeline.
+/// (query, context offsets, user, k) tuple. Heavy serving traffic is
+/// Zipf-shaped — the same head queries arrive over and over — so a small
+/// cache absorbs a large fraction of requests before they reach the
+/// expansion/solve/selection pipeline. The index generation is not part of
+/// the key: each entry carries a ValidationVector, graded on lookup against
+/// the caller's pinned snapshot, so a swap invalidates exactly the entries
+/// whose inputs changed.
 ///
 /// The context component serializes every (query, timestamp offset) pair,
 /// offsets taken relative to the request timestamp: the decay function
@@ -94,12 +96,10 @@ class SuggestionCache {
   };
 
   /// What an entry's correctness depended on when it was inserted: a list of
-  /// (component id, generation) pairs. The whole-generation mode keys
-  /// entries by a single scalar generation inside the key string; the
-  /// delta-aware mode instead records the generation of every index
+  /// (component id, generation) pairs — the generation of every index
   /// component the request read (plus a synthetic UPM component for
   /// personalized entries), so a rebuild that changes one component
-  /// invalidates only entries that actually read it — entries whose touched
+  /// invalidates only entries that actually read it; entries whose touched
   /// components all carried their fingerprints over are still served.
   using ValidationVector = std::vector<std::pair<uint32_t, uint64_t>>;
   /// Grades a stored ValidationVector against the generations the caller's
@@ -109,14 +109,11 @@ class SuggestionCache {
   explicit SuggestionCache(SuggestionCacheOptions options = {});
   ~SuggestionCache();
 
-  /// Stable cache key of a request against one index generation. The
-  /// generation makes every pre-swap entry unreachable after a rebuild
-  /// publishes a new snapshot — stale lists age out instead of being
-  /// served, with no explicit flush on the swap path. Delta-aware callers
-  /// pass generation 0 and carry the real dependencies in the entry's
-  /// ValidationVector instead.
-  static CacheKey KeyOf(const SuggestionRequest& request, size_t k,
-                        uint64_t generation = 0);
+  /// Stable cache key of a request: equal exactly for requests that must
+  /// be served the same list from the same index. Which index — the
+  /// generations of the components the list was computed from — lives in
+  /// the entry's ValidationVector, not in the key.
+  static CacheKey KeyOf(const SuggestionRequest& request, size_t k);
 
   /// On a hit, copies the cached list into `out`, refreshes the entry's
   /// policy position and returns true.
@@ -127,8 +124,8 @@ class SuggestionCache {
   /// and miss; kMismatch entries miss but stay resident (counted as
   /// `pqsda.cache.mismatch_misses_total`) — they belong to a newer
   /// generation than the caller's pinned snapshot and other readers can
-  /// still serve them. Entries inserted without components are always valid
-  /// (the key itself carries their generation).
+  /// still serve them. Entries inserted without components depend on
+  /// nothing the validator grades and are always valid.
   bool Lookup(const CacheKey& key, std::vector<Suggestion>* out,
               const Validator& validator) const;
 

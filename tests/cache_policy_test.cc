@@ -832,8 +832,8 @@ TEST(CacheValidationTest, TriStateContract) {
             mismatch_before + 1);
   EXPECT_TRUE(cache.Lookup("fresh", &out, ValidatorFor(7)));
 
-  // Entries without components carry their generation in the key and are
-  // always valid.
+  // Entries without components depend on nothing the validator grades and
+  // are always valid.
   cache.Insert("keyed", ListFor("keyed"));
   EXPECT_TRUE(cache.Lookup("keyed", &out, ValidatorFor(999)));
 }
@@ -940,7 +940,7 @@ std::string StalenessLogPath(const std::string& name) {
 }
 
 std::unique_ptr<PqsdaEngine> BuildStalenessEngine(
-    CachePolicyKind policy, bool delta_aware, const std::string& warmup_path,
+    CachePolicyKind policy, const std::string& warmup_path,
     bool personalize = true) {
   PqsdaEngineConfig config;
   config.upm.base.num_topics = 4;
@@ -950,7 +950,6 @@ std::unique_ptr<PqsdaEngine> BuildStalenessEngine(
   config.cache_capacity = 64;
   config.cache_shards = 2;
   config.cache_policy = policy;
-  config.cache_delta_aware = delta_aware;
   config.negative_cache_capacity = 32;
   config.cache_warmup.log_path = warmup_path;
   config.cache_warmup.max_requests = 64;
@@ -993,7 +992,7 @@ TEST(CacheStalenessOracleTest, RandomizedSwapScheduleNeverServesStale) {
     ASSERT_TRUE(log.ok());
     telemetry.AttachRequestLog(std::move(log).value());
 
-    auto engine = BuildStalenessEngine(policy, /*delta_aware=*/true, log_path);
+    auto engine = BuildStalenessEngine(policy, log_path);
     ASSERT_NE(engine, nullptr);
 
     const std::vector<std::string> known = {
@@ -1073,8 +1072,7 @@ TEST(CacheStalenessOracleTest, ConcurrentChurnVerifiedByLogReplay) {
   ASSERT_TRUE(log.ok());
   telemetry.AttachRequestLog(std::move(log).value());
 
-  auto engine = BuildStalenessEngine(CachePolicyKind::kCar,
-                                     /*delta_aware=*/true, log_path);
+  auto engine = BuildStalenessEngine(CachePolicyKind::kCar, log_path);
   ASSERT_NE(engine, nullptr);
 
   const uint64_t warmup_before =
@@ -1145,8 +1143,7 @@ TEST(CacheStalenessOracleTest, ConcurrentChurnVerifiedByLogReplay) {
 // Delta-aware retention: with raw edge weights (no global IQF coupling) a
 // delta that only touches one graph component carries the untouched
 // validation components' generations over, so warm entries whose reads all
-// survived keep hitting across the swap — while the whole-generation mode
-// starts cold after every swap.
+// survived keep hitting across the swap.
 //
 // The corpus keeps the warm (java) cluster fully disconnected from the
 // cooking cluster — no shared query, term, url or session — so the warm
@@ -1156,59 +1153,54 @@ TEST(CacheStalenessOracleTest, ConcurrentChurnVerifiedByLogReplay) {
 // components that own the new query rows ("risotto milanese" → 3,
 // "olive oil" → 2, by the partition hash) pick up the new generation —
 // disjoint from the java owners ({5, 0, 4}), so every warm entry survives.
-TEST(CacheStalenessOracleTest, DeltaAwareRetainsAcrossSwapWholeGenDoesNot) {
+TEST(CacheStalenessOracleTest, DeltaAwareRetainsEveryWarmEntryAcrossSwap) {
   const std::vector<std::string> warm = {"java download", "java update",
                                          "java install"};
-  auto run = [&warm](bool delta_aware) {
-    PqsdaEngineConfig config;
-    config.weighting = EdgeWeighting::kRaw;  // fingerprints stay local
-    config.personalize = false;
-    config.cache_capacity = 64;
-    config.cache_shards = 1;
-    config.cache_policy = CachePolicyKind::kArc;
-    config.cache_delta_aware = delta_aware;
-    config.ingest.rebuild_min_records = SIZE_MAX;
-    auto built = PqsdaEngine::Build(
-        {
-            {1, "java download", "www.java.com", 100},
-            {1, "java update", "www.java.com", 150},
-            {4, "java update", "java.sun.com", 100},
-            {4, "java install", "java.sun.com", 130},
-            {2, "pasta carbonara", "www.food.com", 100},
-            {2, "pasta recipe", "www.food.com", 160},
-            {5, "pasta recipe", "www.cooking.com", 90},
-            {5, "tomato sauce", "www.cooking.com", 140},
-        },
-        config);
-    EXPECT_TRUE(built.ok());
-    std::unique_ptr<PqsdaEngine> engine = std::move(built).value();
+  PqsdaEngineConfig config;
+  config.weighting = EdgeWeighting::kRaw;  // fingerprints stay local
+  config.personalize = false;
+  config.cache_capacity = 64;
+  config.cache_shards = 1;
+  config.cache_policy = CachePolicyKind::kArc;
+  config.ingest.rebuild_min_records = SIZE_MAX;
+  auto built = PqsdaEngine::Build(
+      {
+          {1, "java download", "www.java.com", 100},
+          {1, "java update", "www.java.com", 150},
+          {4, "java update", "java.sun.com", 100},
+          {4, "java install", "java.sun.com", 130},
+          {2, "pasta carbonara", "www.food.com", 100},
+          {2, "pasta recipe", "www.food.com", 160},
+          {5, "pasta recipe", "www.cooking.com", 90},
+          {5, "tomato sauce", "www.cooking.com", 140},
+      },
+      config);
+  ASSERT_TRUE(built.ok());
+  std::unique_ptr<PqsdaEngine> engine = std::move(built).value();
 
-    auto suggest = [&engine](const std::string& q) {
-      SuggestionRequest request;
-      request.query = q;
-      request.timestamp = 400;
-      return engine->Suggest(request, 5);
-    };
-    for (const std::string& q : warm) EXPECT_TRUE(suggest(q).ok());
-
-    std::vector<QueryLogRecord> delta = {
-        {31, "risotto milanese", "www.rice.it", 5000},
-        {31, "olive oil", "www.rice.it", 5050},
-    };
-    for (QueryLogRecord& r : delta) {
-      EXPECT_TRUE(engine->Ingest(std::move(r)).ok());
-    }
-    EXPECT_TRUE(engine->index_manager().RebuildNow().ok());
-
-    const uint64_t hits_before = CounterValue("pqsda.cache.hits_total");
-    for (const std::string& q : warm) EXPECT_TRUE(suggest(q).ok());
-    return CounterValue("pqsda.cache.hits_total") - hits_before;
+  auto suggest = [&engine](const std::string& q) {
+    SuggestionRequest request;
+    request.query = q;
+    request.timestamp = 400;
+    return engine->Suggest(request, 5);
   };
+  for (const std::string& q : warm) EXPECT_TRUE(suggest(q).ok());
 
-  // Whole-generation keys can never hit across the swap.
-  EXPECT_EQ(run(/*delta_aware=*/false), 0u);
-  // Delta-aware retention serves every warm query from cache.
-  EXPECT_EQ(run(/*delta_aware=*/true), warm.size());
+  std::vector<QueryLogRecord> delta = {
+      {31, "risotto milanese", "www.rice.it", 5000},
+      {31, "olive oil", "www.rice.it", 5050},
+  };
+  for (QueryLogRecord& r : delta) {
+    EXPECT_TRUE(engine->Ingest(std::move(r)).ok());
+  }
+  ASSERT_TRUE(engine->index_manager().RebuildNow().ok());
+  ASSERT_EQ(engine->generation(), 1u);
+
+  // Every warm query is served from cache across the swap.
+  const uint64_t hits_before = CounterValue("pqsda.cache.hits_total");
+  for (const std::string& q : warm) EXPECT_TRUE(suggest(q).ok());
+  EXPECT_EQ(CounterValue("pqsda.cache.hits_total") - hits_before,
+            warm.size());
 }
 
 }  // namespace

@@ -18,7 +18,6 @@
 
 #include <atomic>
 #include <deque>
-#include <fstream>
 #include <string>
 #include <thread>
 #include <vector>
@@ -30,9 +29,8 @@
 #include "common/thread_pool.h"
 #include "core/admission.h"
 #include "core/pqsda_engine.h"
-#include "core/sharded_engine.h"
+#include "core/shard_router.h"
 #include "obs/metrics.h"
-#include "obs/request_log.h"
 #include "obs/sliding_window.h"
 #include "obs/telemetry.h"
 #include "solver/linear_solvers.h"
@@ -537,7 +535,6 @@ TEST_F(FaultInjectionTest, NegativeCacheInvalidatedWhenIngestMakesQueryKnown) {
   config.upm.hyper_rounds = 1;
   config.cache_capacity = 16;
   config.negative_cache_capacity = 16;
-  config.cache_delta_aware = true;
   config.ingest.rebuild_min_records = SIZE_MAX;  // rebuilds only on demand
   auto built = PqsdaEngine::Build(FaultLog(), config);
   ASSERT_TRUE(built.ok());
@@ -671,22 +668,25 @@ TEST_F(FaultInjectionTest, DeadlineStormUnderBatchStaysWellFormed) {
 
 // --------------------------------------- per-shard fault matrix ----
 
-// The sharded scatter-gather coordinator under per-shard faults: one shard
-// past its fetch deadline, one shard shedding, one shard mid-swap. The
-// invariants: only the affected shard degrades (every other touched shard
-// stays kShardFull), a partial merge is always loud (SuggestStats rungs +
-// partial_merge + counters, never a cache fill), and a mid-swap holdback
-// serves the *whole* previous build, not a mixed view.
+// The sharded scatter-gather path under per-shard faults: one shard past
+// its fetch deadline, one shard shedding. The invariants: only the affected
+// shard degrades (every other touched shard stays kShardFull), and a
+// partial merge is always loud (SuggestStats rungs + partial_merge +
+// counters, never a cache fill).
 
-std::unique_ptr<ShardedEngine> BuildShardedFaultEngine(
-    size_t cache_capacity = 0) {
+PqsdaEngineConfig ShardedFaultConfig(size_t cache_capacity = 0) {
   PqsdaEngineConfig config;
   config.personalize = false;
   config.cache_capacity = cache_capacity;
-  ShardedEngineOptions options;
-  options.shards = 4;
-  options.hot_row_min_degree = 0;  // strict ownership: faults must bite
-  auto built = ShardedEngine::Build(FaultLog(), config, options);
+  config.sharding.shards = 4;
+  config.sharding.hot_row_min_degree = 0;  // strict ownership: faults bite
+  return config;
+}
+
+std::unique_ptr<PqsdaEngine> BuildShardedFaultEngine(
+    size_t cache_capacity = 0) {
+  auto built =
+      PqsdaEngine::Build(FaultLog(), ShardedFaultConfig(cache_capacity));
   EXPECT_TRUE(built.ok());
   return std::move(built).value();
 }
@@ -699,14 +699,14 @@ struct ShardedProbe {
   size_t victim = 0;
 };
 
-ShardedProbe FindCrossShardProbe(const ShardedEngine& engine) {
+ShardedProbe FindCrossShardProbe(const PqsdaEngine& engine) {
   const char* queries[] = {"sun",          "sun java",     "solar energy",
                            "solar system", "java download", "sun daily uk"};
   for (const char* q : queries) {
     SuggestStats stats;
     auto result = engine.Suggest(FaultRequest(q), 5, &stats);
     if (!result.ok() || stats.shards_touched < 2) continue;
-    const size_t primary = engine.router().QueryShardOf(q);
+    const size_t primary = ShardRouter{engine.shards()}.QueryShardOf(q);
     for (size_t s = 0; s < stats.shard_rungs.size(); ++s) {
       if (s != primary && stats.shard_rungs[s] == SuggestStats::kShardFull) {
         return {FaultRequest(q), s};
@@ -807,15 +807,15 @@ TEST_F(FaultInjectionTest, ShardPartialMergeIsNeverCached) {
 TEST_F(FaultInjectionTest, ShardAdmissionShedsAtPrimaryGateWithCleanStats) {
   PqsdaEngineConfig config;
   config.personalize = false;
-  ShardedEngineOptions options;
-  options.shards = 4;
-  options.shard_queue_depth = 4;  // enable the per-shard queue gate
-  auto built = ShardedEngine::Build(FaultLog(), config, options);
+  config.sharding.shards = 4;
+  config.robustness.shed_queue_depth = 4;  // armed per shard
+  auto built = PqsdaEngine::Build(FaultLog(), config);
   ASSERT_TRUE(built.ok());
   auto& engine = *built;
 
+  const ShardRouter router{4};
   const SuggestionRequest request = FaultRequest("sun");
-  const size_t primary = engine->router().QueryShardOf(request.query);
+  const size_t primary = router.QueryShardOf(request.query);
   obs::Counter& shed_total = obs::MetricsRegistry::Default().GetCounter(
       "pqsda.shard." + std::to_string(primary) + ".shed_total");
   const uint64_t shed0 = shed_total.Value();
@@ -835,7 +835,7 @@ TEST_F(FaultInjectionTest, ShardAdmissionShedsAtPrimaryGateWithCleanStats) {
 
   for (const char* q :
        {"sun java", "solar energy", "solar system", "uk news"}) {
-    if (engine->router().QueryShardOf(q) == primary) continue;
+    if (router.QueryShardOf(q) == primary) continue;
     EXPECT_TRUE(engine->Suggest(FaultRequest(q), 5).ok()) << q;
     break;
   }
@@ -880,7 +880,7 @@ TEST_F(FaultInjectionTest, AdmissionCountsInflightRequestsInTheDepthGate) {
   EXPECT_TRUE(gate.Admit().ok());
 }
 
-// Regression: configuring shard_p95_us must scope each shard's live signal
+// Regression: a sharded shed_p95_us must scope each shard's live signal
 // to that shard's own latency window. Poison the *global* serving-telemetry
 // histogram with a storm of slow samples; every shard gate must keep
 // admitting (the old behavior — reading the global percentile — shed every
@@ -889,13 +889,9 @@ TEST_F(FaultInjectionTest, ShardP95GateReadsPerShardWindowNotGlobalLatency) {
   obs::ServingTelemetry& poisoned = obs::ServingTelemetry::Install({});
   for (int i = 0; i < 256; ++i) poisoned.latency().Record(5'000'000.0);
 
-  PqsdaEngineConfig config;
-  config.personalize = false;
-  ShardedEngineOptions options;
-  options.shards = 4;
-  options.hot_row_min_degree = 0;
-  options.shard_p95_us = 1'000'000.0;  // global window reads 5x this
-  auto built = ShardedEngine::Build(FaultLog(), config, options);
+  PqsdaEngineConfig config = ShardedFaultConfig();
+  config.robustness.shed_p95_us = 1'000'000.0;  // global window reads 5x this
+  auto built = PqsdaEngine::Build(FaultLog(), config);
   ASSERT_TRUE(built.ok());
 
   SuggestStats stats = PoisonedStats();
@@ -919,18 +915,14 @@ TEST_F(FaultInjectionTest, BudgetCollapseMidRequestRefusesFetchesLoudly) {
   FaultInjector& injector = FaultInjector::Default();
   injector.SetClock(0);
 
-  PqsdaEngineConfig config;
-  config.personalize = false;
+  PqsdaEngineConfig config = ShardedFaultConfig();
   // Budget rungs off: any remaining budget > 0 keeps the full pipeline, so
   // the degradation below is attributable to the fetch floor alone.
   config.robustness.truncated_below_us = 0;
   config.robustness.walk_only_below_us = 0;
   config.robustness.cache_only_below_us = 0;
-  ShardedEngineOptions options;
-  options.shards = 4;
-  options.hot_row_min_degree = 0;
-  options.fetch_budget_floor_us = 2'000.0;
-  auto built = ShardedEngine::Build(FaultLog(), config, options);
+  config.sharding.fetch_budget_floor_us = 2'000.0;
+  auto built = PqsdaEngine::Build(FaultLog(), config);
   ASSERT_TRUE(built.ok());
   auto& engine = *built;
   const ShardedProbe probe = FindCrossShardProbe(*engine);
@@ -967,136 +959,6 @@ TEST_F(FaultInjectionTest, BudgetCollapseMidRequestRefusesFetchesLoudly) {
   SuggestStats clean;
   ASSERT_TRUE(engine->Suggest(request, 5, &clean).ok());
   EXPECT_FALSE(clean.partial_merge);
-}
-
-TEST_F(FaultInjectionTest, ShardHoldbackMidSwapServesOldBuildConsistently) {
-  auto engine = BuildShardedFaultEngine();
-  const SuggestionRequest request = FaultRequest("sun");
-  auto before = engine->Suggest(request, 5);
-  ASSERT_TRUE(before.ok());
-
-  // Shard 2 stalls mid-swap across the rebuild. Requests must keep serving
-  // the previous build whole — bitwise the pre-rebuild list, no partial
-  // merge, no error.
-  FaultInjector::Default().SetValue(faults::kShardSwapHoldback, 2);
-  std::vector<QueryLogRecord> delta = {{7, "sun", "www.nasa.gov", 500},
-                                       {7, "sun spots", "www.nasa.gov", 520},
-                                       {8, "sun spots", "www.nasa.gov", 510}};
-  for (const auto& record : delta) {
-    ASSERT_TRUE(engine->Ingest(record).ok());
-  }
-  ASSERT_TRUE(engine->RebuildNow().ok());
-  EXPECT_GE(FaultInjector::Default().Hits(faults::kShardSwap), 4u);
-
-  SuggestStats stats;
-  auto held = engine->Suggest(request, 5, &stats);
-  ASSERT_TRUE(held.ok());
-  EXPECT_FALSE(stats.partial_merge);
-  ASSERT_EQ(before->size(), held->size());
-  for (size_t i = 0; i < before->size(); ++i) {
-    EXPECT_EQ((*before)[i].query, (*held)[i].query);
-    EXPECT_EQ((*before)[i].score, (*held)[i].score);
-  }
-
-  // Swap completes: the engine serves what a fresh build over the grown
-  // log serves.
-  FaultInjector::Default().Reset();
-  engine->SyncShards();
-  auto grown = FaultLog();
-  grown.insert(grown.end(), delta.begin(), delta.end());
-  PqsdaEngineConfig config;
-  config.personalize = false;
-  auto reference = PqsdaEngine::Build(std::move(grown), config);
-  ASSERT_TRUE(reference.ok());
-  auto expected = (*reference)->Suggest(request, 5);
-  ASSERT_TRUE(expected.ok());
-  auto after = engine->Suggest(request, 5);
-  ASSERT_TRUE(after.ok());
-  ASSERT_EQ(expected->size(), after->size());
-  for (size_t i = 0; i < expected->size(); ++i) {
-    EXPECT_EQ((*expected)[i].query, (*after)[i].query);
-    EXPECT_EQ((*expected)[i].score, (*after)[i].score);
-  }
-}
-
-// Regression for the mid-swap invalidation bug: the post-swap warmup fills
-// entries stamped with the INCOMING build's component generations while a
-// held-back shard keeps the served consistent cut on the outgoing build.
-// The hit path used to grade such an entry against the outgoing cut as
-// "stale" and erase it — destroying exactly the entries the warmup just
-// paid for, for the benefit of nobody. The tri-state validator must miss
-// WITHOUT invalidating (a mismatch, not a staleness), and the entry must
-// serve the first reader of the completed swap straight from cache.
-//
-// Every client request runs at the cache-only rung (min_rung = 3) so the
-// probes themselves can neither fill nor overwrite entries — the only
-// writer in the test is the warmup.
-TEST_F(FaultInjectionTest, MidSwapWarmupEntrySurvivesForIncomingReaders) {
-  const std::string log_path = testing::TempDir() + "/midswap_warmup.jsonl";
-  {
-    obs::RequestLogEntry entry;
-    entry.query = "sun";
-    entry.k = 5;
-    entry.user = kNoUser;
-    entry.timestamp = 400;
-    entry.ok = true;
-    std::ofstream out(log_path, std::ios::trunc);
-    out << obs::RequestLog::ToJson(entry) << "\n";
-  }
-
-  PqsdaEngineConfig config;
-  config.personalize = false;
-  config.cache_capacity = 16;
-  config.robustness.min_rung = 3;  // clients only ever read the cache
-  config.cache_warmup.log_path = log_path;
-  config.cache_warmup.max_requests = 8;
-  ShardedEngineOptions options;
-  options.shards = 4;
-  options.hot_row_min_degree = 0;
-  auto built = ShardedEngine::Build(FaultLog(), config, options);
-  ASSERT_TRUE(built.ok());
-  std::unique_ptr<ShardedEngine> engine = std::move(built).value();
-
-  obs::MetricsRegistry& reg = obs::MetricsRegistry::Default();
-  obs::Counter& mismatches =
-      reg.GetCounter("pqsda.cache.mismatch_misses_total");
-  obs::Counter& stales =
-      reg.GetCounter("pqsda.cache.stale_invalidations_total");
-  obs::Counter& filled = reg.GetCounter("pqsda.cache.warmup_filled_total");
-  obs::Counter& hits = reg.GetCounter("pqsda.cache.hits_total");
-
-  // Build does not warm: the cache-only probe finds nothing.
-  EXPECT_EQ(engine->Suggest(FaultRequest("sun"), 5).status().code(),
-            StatusCode::kNotFound);
-
-  // Shard 1 stalls mid-swap; the rebuild publishes anyway and the warmup
-  // fills "sun" under the incoming build on the rebuild thread.
-  FaultInjector::Default().SetValue(faults::kShardSwapHoldback, 1);
-  const uint64_t filled0 = filled.Value();
-  ASSERT_TRUE(engine->Ingest({7, "sun", "www.nasa.gov", 500}).ok());
-  ASSERT_TRUE(engine->RebuildNow().ok());
-  EXPECT_EQ(filled.Value(), filled0 + 1);
-
-  // The held engine still serves the outgoing cut: the warm entry's
-  // generations run AHEAD of it, so the probe misses as a mismatch — and
-  // must not invalidate the entry.
-  const uint64_t mismatch0 = mismatches.Value();
-  const uint64_t stale0 = stales.Value();
-  EXPECT_EQ(engine->Suggest(FaultRequest("sun"), 5).status().code(),
-            StatusCode::kNotFound);
-  EXPECT_EQ(mismatches.Value(), mismatch0 + 1);
-  EXPECT_EQ(stales.Value(), stale0);
-
-  // Swap completes: the retained entry serves the first post-swap reader
-  // from cache at the cache-only rung. (The pre-fix code erased it above
-  // and this request came back NotFound.)
-  FaultInjector::Default().Reset();
-  engine->SyncShards();
-  const uint64_t hits0 = hits.Value();
-  auto served = engine->Suggest(FaultRequest("sun"), 5);
-  ASSERT_TRUE(served.ok()) << served.status().ToString();
-  EXPECT_FALSE(served->empty());
-  EXPECT_EQ(hits.Value(), hits0 + 1);
 }
 
 }  // namespace

@@ -414,9 +414,9 @@ TEST(IngestCacheTest, SwapTurnsPreSwapHitIntoPostSwapMiss) {
   EXPECT_EQ(misses.Value(), misses0 + 1);
   EXPECT_EQ(*first, *second);
 
-  // Ingest fresh signal and swap: the same request must now MISS (the gen-0
-  // entry is unreachable under the gen-1 key) and recompute against the new
-  // index — no explicit cache flush anywhere.
+  // Ingest fresh signal and swap: the same request must now MISS (the delta
+  // changed components the gen-0 entry read, so it grades stale) and
+  // recompute against the new index — no explicit cache flush anywhere.
   IndexManager& index = (*engine)->index_manager();
   ASSERT_TRUE(index
                   .IngestBatch({{7, "sun", "www.nasa.gov", 500},
@@ -430,7 +430,7 @@ TEST(IngestCacheTest, SwapTurnsPreSwapHitIntoPostSwapMiss) {
   ASSERT_TRUE(third.ok());
   EXPECT_EQ(hits.Value(), hits0 + 1);     // no stale hit
   EXPECT_EQ(misses.Value(), misses0 + 2);  // recomputed
-  // And the recomputed list is cached under the new generation.
+  // And the recomputed list is cached against the new generation.
   auto fourth = (*engine)->Suggest(request, 5);
   ASSERT_TRUE(fourth.ok());
   EXPECT_EQ(hits.Value(), hits0 + 2);

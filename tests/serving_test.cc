@@ -387,10 +387,6 @@ TEST(SuggestionCacheTest, KeyDistinguishesQueryUserContextAndK) {
             SuggestionCache::KeyOf(base, 10));
   EXPECT_NE(SuggestionCache::KeyOf(base, 5),
             SuggestionCache::KeyOf(with_context, 5));
-  // A rebuild swap changes the generation, so pre-swap entries can never
-  // answer post-swap requests.
-  EXPECT_NE(SuggestionCache::KeyOf(base, 5, /*generation=*/0),
-            SuggestionCache::KeyOf(base, 5, /*generation=*/1));
 
   // Decay depends only on relative age: the same request shifted in time
   // shares an entry.

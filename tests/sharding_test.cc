@@ -1,15 +1,15 @@
 // The shard-count-invariance differential harness for the scatter-gather
-// serving path: a ShardedEngine must serve *bitwise-identical* suggestion
-// lists (queries, double scores, order — checked both element-wise and via
-// Fingerprint64) to the unsharded PqsdaEngine, for every shard count,
-// with and without personalization, under concurrent serving threads, and
-// under rebuild churn including one shard held back mid-swap. Clusters:
+// serving path: a sharded PqsdaEngine must serve *bitwise-identical*
+// suggestion lists (queries, double scores, order — checked both
+// element-wise and via Fingerprint64) to the unsharded one, for every shard
+// count, with and without personalization, under concurrent serving
+// threads, and under rebuild churn. Clusters:
 //
 //  1. Routing/partition units: query-hash routing is deterministic and
 //     in-range; ownership covers every query exactly once; hot-row
 //     replication honors its threshold; per-shard content fingerprints are
 //     id-renumbering-proof and move only for shards whose slice changed.
-//  2. The headline differential property: ShardedEngine(N) == PqsdaEngine
+//  2. The headline differential property: shards=N == unsharded
 //     for N in {1,2,4,8}, personalization on and off, including NotFound
 //     probes and term-match-seeded unknown queries, sequentially and from
 //     concurrent threads (this file is part of the TSAN/ASan suites
@@ -21,15 +21,19 @@
 //     order is decided purely by accumulation order, and a degraded shard
 //     dropping exactly its cold rows (pinned against a censoring reference
 //     backend).
-//  4. Rebuild churn: equivalence after chunked ingest, the consistent cut
-//     under a faults::kShardSwapHoldback mid-swap experiment, and a
+//  4. Rebuild churn: equivalence after chunked ingest, and a
 //     serve-during-churn stress where every response must match exactly one
 //     published generation.
 //  5. The cache regression: validation vectors make a single-shard swap
 //     invalidate only entries that touched that shard.
+//  6. The one request path: sharded ingest feeds the live tail context and
+//     the ingest metrics, a failed sharded rebuild is counted, and a
+//     sharded request explains itself and replays bitwise from the request
+//     log.
 
 #include <algorithm>
 #include <atomic>
+#include <cstdio>
 #include <memory>
 #include <random>
 #include <string>
@@ -46,6 +50,8 @@
 #include "graph/shard_partition.h"
 #include "obs/explain.h"
 #include "obs/metrics.h"
+#include "obs/request_log.h"
+#include "obs/telemetry.h"
 #include "synthetic/generator.h"
 
 namespace pqsda {
@@ -74,10 +80,15 @@ PqsdaEngineConfig ShardConfig(bool personalize) {
   return config;
 }
 
-ShardedEngineOptions ShardOptions(size_t shards) {
-  ShardedEngineOptions options;
-  options.shards = shards;
-  return options;
+// The engine under `config`, served scatter-gather over `shards` shards.
+std::unique_ptr<PqsdaEngine> BuildSharded(
+    const std::vector<QueryLogRecord>& records, PqsdaEngineConfig config,
+    size_t shards, size_t hot_row_min_degree = 48) {
+  config.sharding.shards = shards;
+  config.sharding.hot_row_min_degree = hot_row_min_degree;
+  auto built = PqsdaEngine::Build(records, config);
+  EXPECT_TRUE(built.ok()) << built.status().ToString();
+  return built.ok() ? std::move(built).value() : nullptr;
 }
 
 // Fixed probes drawn from the log (plus one personalized form each), then
@@ -174,9 +185,8 @@ std::string QueryOnShard(const ShardRouter& router, size_t shard,
   }
 }
 
-// Resets the process-wide injector around every test: the holdback and
-// per-shard degradation experiments arm value overrides that must never
-// leak between tests.
+// Resets the process-wide injector around every test: the rebuild-failure
+// experiment arms a value override that must never leak between tests.
 class ShardingTest : public testing::Test {
  protected:
   void SetUp() override { FaultInjector::Default().Reset(); }
@@ -370,12 +380,12 @@ void RunInvarianceProperty(bool personalize) {
   const auto expected = ServeProbes(**unsharded, probes);
 
   for (size_t shards : {size_t{1}, size_t{2}, size_t{4}, size_t{8}}) {
-    auto sharded = ShardedEngine::Build(records, config, ShardOptions(shards));
-    ASSERT_TRUE(sharded.ok()) << sharded.status().ToString();
+    auto sharded = BuildSharded(records, config, shards);
+    ASSERT_NE(sharded, nullptr);
     const std::string label = std::string("shards=") +
                               std::to_string(shards) +
                               (personalize ? " +upm" : "");
-    ExpectIdenticalLists(expected, ServeProbes(**sharded, probes), label);
+    ExpectIdenticalLists(expected, ServeProbes(*sharded, probes), label);
   }
 }
 
@@ -392,14 +402,13 @@ TEST_F(ShardingTest, ScatterGatherActuallyCrossesShards) {
   // ownership, some probe must touch more than one shard, serve remote
   // fetches, and still merge fully (no partial flag anywhere).
   const auto records = ShardLog();
-  auto options = ShardOptions(4);
-  options.hot_row_min_degree = 0;
-  auto sharded = ShardedEngine::Build(records, ShardConfig(false), options);
-  ASSERT_TRUE(sharded.ok());
+  auto sharded = BuildSharded(records, ShardConfig(false), 4,
+                              /*hot_row_min_degree=*/0);
+  ASSERT_NE(sharded, nullptr);
   size_t multi_shard_probes = 0;
   for (const auto& probe : ShardProbes(records)) {
     SuggestStats stats;
-    auto result = (*sharded)->Suggest(probe, 10, &stats);
+    auto result = sharded->Suggest(probe, 10, &stats);
     if (!result.ok()) continue;
     EXPECT_FALSE(stats.partial_merge);
     ASSERT_EQ(stats.shard_rungs.size(), 4u);
@@ -420,15 +429,15 @@ TEST_F(ShardingTest, MatchesUnshardedFromConcurrentThreads) {
   const auto probes = ShardProbes(records);
   const auto expected = ServeProbes(**unsharded, probes);
 
-  auto sharded = ShardedEngine::Build(records, config, ShardOptions(4));
-  ASSERT_TRUE(sharded.ok());
+  auto sharded = BuildSharded(records, config, 4);
+  ASSERT_NE(sharded, nullptr);
 
   // Concurrent callers (the TSAN suite re-runs this): every thread must see
   // the exact expected lists, and the lane-routed batch path must agree.
   std::vector<std::vector<std::vector<Suggestion>>> served(4);
   std::vector<std::thread> threads;
   for (size_t t = 0; t < served.size(); ++t) {
-    threads.emplace_back([&, t] { served[t] = ServeProbes(**sharded, probes); });
+    threads.emplace_back([&, t] { served[t] = ServeProbes(*sharded, probes); });
   }
   for (auto& thread : threads) thread.join();
   for (size_t t = 0; t < served.size(); ++t) {
@@ -436,7 +445,7 @@ TEST_F(ShardingTest, MatchesUnshardedFromConcurrentThreads) {
                          "thread " + std::to_string(t));
   }
 
-  auto batch = (*sharded)->SuggestBatch(probes, 10);
+  auto batch = sharded->SuggestBatch(probes, 10);
   std::vector<std::vector<Suggestion>> batch_lists;
   for (auto& result : batch) {
     if (result.ok()) {
@@ -452,37 +461,28 @@ TEST_F(ShardingTest, MatchesUnshardedFromConcurrentThreads) {
 
 // --------------------------------------- merge-correctness units ----
 
-struct TestBuildRig {
-  std::shared_ptr<const IndexSnapshot> snap;
-  ShardedBuild build;
-};
-
-TestBuildRig MakeTestBuild(const std::vector<QueryLogRecord>& records,
-                           const PqsdaEngineConfig& config, size_t shards,
-                           size_t hot_row_min_degree) {
-  TestBuildRig rig;
+// A snapshot built with `shards` serving shards: its partition is the one
+// a sharded engine would route over.
+std::shared_ptr<const IndexSnapshot> MakeShardedSnapshot(
+    const std::vector<QueryLogRecord>& records, PqsdaEngineConfig config,
+    size_t shards, size_t hot_row_min_degree) {
+  config.sharding.shards = shards;
+  config.sharding.hot_row_min_degree = hot_row_min_degree;
   auto snap = BuildIndexSnapshot(records, config, 0);
   EXPECT_TRUE(snap.ok());
-  rig.snap = std::move(snap).value();
-  rig.build.base = rig.snap;
-  ShardPartitionOptions options;
-  options.shards = shards;
-  options.hot_row_min_degree = hot_row_min_degree;
-  rig.build.partition = BuildShardPartition(*rig.snap->mb, options);
-  rig.build.shard_generation.assign(shards, 0);
-  return rig;
+  return std::move(snap).value();
 }
 
-ShardServingContext MakeContext(const ShardedBuild& build, size_t primary,
+ShardServingContext MakeContext(const IndexSnapshot& snap, size_t primary,
                                 std::function<uint8_t(size_t)> classify) {
   ShardServingContext ctx;
-  ctx.build = &build;
-  ctx.router.shards = build.partition.shards;
+  ctx.mb = snap.mb.get();
+  ctx.partition = &snap.partition;
   ctx.primary = primary;
   ctx.classify = std::move(classify);
-  ctx.rung.assign(build.partition.shards, SuggestStats::kShardUntouched);
+  ctx.rung.assign(snap.partition.shards, SuggestStats::kShardUntouched);
   ctx.rung[primary] = SuggestStats::kShardFull;
-  ctx.shard_fetches.assign(build.partition.shards, 0);
+  ctx.shard_fetches.assign(snap.partition.shards, 0);
   return ctx;
 }
 
@@ -530,9 +530,9 @@ TEST_F(ShardingTest, GatherMatchesScalarReferenceForEveryPrimary) {
   // another, and shards owning nothing on the frontier contribute empty
   // pools. All of them must induce the bit-identical representation.
   const auto records = ShardLog();
-  auto rig = MakeTestBuild(records, ShardConfig(false), 4,
-                           /*hot_row_min_degree=*/0);
-  const MultiBipartite& mb = *rig.snap->mb;
+  auto snap = MakeShardedSnapshot(records, ShardConfig(false), 4,
+                                  /*hot_row_min_degree=*/0);
+  const MultiBipartite& mb = *snap->mb;
   CompactBuilderOptions options;
   options.target_size = 60;
 
@@ -544,7 +544,7 @@ TEST_F(ShardingTest, GatherMatchesScalarReferenceForEveryPrimary) {
 
   auto always_full = [](size_t) -> uint8_t { return SuggestStats::kShardFull; };
   for (size_t primary = 0; primary < 4; ++primary) {
-    ShardServingContext ctx = MakeContext(rig.build, primary, always_full);
+    ShardServingContext ctx = MakeContext(*snap, primary, always_full);
     ShardedWalkBackend backend(&ctx, {});
     CompactBuilder sharded(mb, &backend);
     auto got = sharded.Build(seed, {}, options);
@@ -570,9 +570,9 @@ TEST_F(ShardingTest, TiedMassAtTheMergeBoundaryKeepsAccumulationOrder) {
       {1, root, "ushare.com", 100},  {1, left, "ushare.com", 150},
       {2, root, "ushare.com", 100},  {2, right, "ushare.com", 150},
   };
-  auto rig = MakeTestBuild(records, ClusterConfig(), 2,
-                           /*hot_row_min_degree=*/0);
-  const MultiBipartite& mb = *rig.snap->mb;
+  auto snap = MakeShardedSnapshot(records, ClusterConfig(), 2,
+                                  /*hot_row_min_degree=*/0);
+  const MultiBipartite& mb = *snap->mb;
   const StringId seed = mb.QueryId(root);
   ASSERT_NE(seed, kInvalidStringId);
 
@@ -582,9 +582,9 @@ TEST_F(ShardingTest, TiedMassAtTheMergeBoundaryKeepsAccumulationOrder) {
   ASSERT_TRUE(ref.ok());
   ASSERT_GE(ref->queries.size(), 3u);  // root + both tied candidates
 
-  const size_t primary = rig.build.partition.query_owner[seed];
+  const size_t primary = snap->partition.query_owner[seed];
   auto always_full = [](size_t) -> uint8_t { return SuggestStats::kShardFull; };
-  ShardServingContext ctx = MakeContext(rig.build, primary, always_full);
+  ShardServingContext ctx = MakeContext(*snap, primary, always_full);
   ShardedWalkBackend backend(&ctx, {});
   CompactBuilder sharded(mb, &backend);
   auto got = sharded.Build(seed, {}, options);
@@ -658,24 +658,24 @@ class CensoringBackend final : public CompactWalkBackend {
 
 TEST_F(ShardingTest, DegradedShardDropsExactlyItsColdRows) {
   const auto records = ShardLog();
-  auto rig = MakeTestBuild(records, ShardConfig(false), 4,
-                           /*hot_row_min_degree=*/0);
-  const MultiBipartite& mb = *rig.snap->mb;
+  auto snap = MakeShardedSnapshot(records, ShardConfig(false), 4,
+                                  /*hot_row_min_degree=*/0);
+  const MultiBipartite& mb = *snap->mb;
   CompactBuilderOptions options;
   options.target_size = 60;
   const StringId seed = mb.QueryId(records.front().query);
   ASSERT_NE(seed, kInvalidStringId);
 
-  const size_t primary = rig.build.partition.query_owner[seed];
+  const size_t primary = snap->partition.query_owner[seed];
   const size_t censored = (primary + 1) % 4;
 
-  CensoringBackend censor(mb, rig.build.partition, primary, censored);
+  CensoringBackend censor(mb, snap->partition, primary, censored);
   CompactBuilder reference(mb, &censor);
   auto ref = reference.Build(seed, {}, options);
   ASSERT_TRUE(ref.ok());
 
   ShardServingContext ctx = MakeContext(
-      rig.build, primary, [censored](size_t s) -> uint8_t {
+      *snap, primary, [censored](size_t s) -> uint8_t {
         return s == censored ? SuggestStats::kShardDegraded
                              : SuggestStats::kShardFull;
       });
@@ -714,11 +714,12 @@ TEST_F(ShardingTest, ChunkedIngestKeepsEquivalenceWithBatchBuild) {
   const auto expected = ServeProbes(**batch, probes);
 
   const size_t prefix = all_records.size() / 2;
-  auto sharded = ShardedEngine::Build(
+  auto sharded = BuildSharded(
       std::vector<QueryLogRecord>(all_records.begin(),
                                   all_records.begin() + prefix),
-      config, ShardOptions(4));
-  ASSERT_TRUE(sharded.ok());
+      config, 4);
+  ASSERT_NE(sharded, nullptr);
+  IndexManager& index = sharded->index_manager();
 
   std::mt19937 rng(404);
   for (auto& chunk : RandomChunks(
@@ -726,53 +727,14 @@ TEST_F(ShardingTest, ChunkedIngestKeepsEquivalenceWithBatchBuild) {
                                        all_records.end()),
            rng)) {
     for (auto& record : chunk) {
-      ASSERT_TRUE((*sharded)->Ingest(std::move(record)).ok());
+      ASSERT_TRUE(sharded->Ingest(std::move(record)).ok());
     }
-    (*sharded)->WaitForRebuilds();  // drain threshold-scheduled passes
-    ASSERT_TRUE((*sharded)->RebuildNow().ok());
-    EXPECT_EQ((*sharded)->delta_depth(), 0u);
+    index.WaitForRebuilds();  // drain threshold-scheduled passes
+    ASSERT_TRUE(index.RebuildNow().ok());
+    EXPECT_EQ(index.delta_depth(), 0u);
   }
-  ExpectIdenticalLists(expected, ServeProbes(**sharded, probes),
+  ExpectIdenticalLists(expected, ServeProbes(*sharded, probes),
                        "chunked ingest, shards=4");
-}
-
-TEST_F(ShardingTest, HoldbackPinsThePreviousBuildThenSyncCatchesUp) {
-  const auto all_records = ShardLog();
-  const auto config = ShardConfig(false);
-  const size_t prefix = all_records.size() - 80;
-  const std::vector<QueryLogRecord> base(all_records.begin(),
-                                         all_records.begin() + prefix);
-  const auto probes = ShardProbes(base);
-
-  auto old_ref = PqsdaEngine::Build(base, config);
-  ASSERT_TRUE(old_ref.ok());
-  const auto expected_old = ServeProbes(**old_ref, probes);
-  auto new_ref = PqsdaEngine::Build(all_records, config);
-  ASSERT_TRUE(new_ref.ok());
-  const auto expected_new = ServeProbes(**new_ref, probes);
-
-  auto sharded = ShardedEngine::Build(base, config, ShardOptions(4));
-  ASSERT_TRUE(sharded.ok());
-
-  // One shard stalls mid-swap: every publication keeps slot 1 on its old
-  // build. The consistent cut must pin requests to the *whole* previous
-  // build — bitwise the pre-churn engine, never a mixed-generation view.
-  FaultInjector::Default().SetValue(faults::kShardSwapHoldback, 1);
-  for (size_t i = prefix; i < all_records.size(); ++i) {
-    ASSERT_TRUE((*sharded)->Ingest(all_records[i]).ok());
-  }
-  (*sharded)->WaitForRebuilds();
-  ASSERT_TRUE((*sharded)->RebuildNow().ok());
-  EXPECT_GT(FaultInjector::Default().Hits(faults::kShardSwap), 0u);
-  ExpectIdenticalLists(expected_old, ServeProbes(**sharded, probes),
-                       "held-back consistent cut");
-
-  // The swap completes: requests move to the new build, and serve exactly
-  // what a batch build over the full log serves.
-  FaultInjector::Default().Reset();
-  (*sharded)->SyncShards();
-  ExpectIdenticalLists(expected_new, ServeProbes(**sharded, probes),
-                       "after SyncShards");
 }
 
 TEST_F(ShardingTest, ServingDuringChurnStaysOnOnePublishedGeneration) {
@@ -801,17 +763,17 @@ TEST_F(ShardingTest, ServingDuringChurnStaysOnOnePublishedGeneration) {
     expected_fp.push_back(FingerprintOfList(*list));
   }
 
-  auto sharded = ShardedEngine::Build(
+  auto sharded = BuildSharded(
       std::vector<QueryLogRecord>(all_records.begin(),
                                   all_records.begin() + prefix),
-      config, ShardOptions(2));
-  ASSERT_TRUE(sharded.ok());
+      config, 2);
+  ASSERT_NE(sharded, nullptr);
 
   std::atomic<bool> done{false};
   std::atomic<size_t> mismatches{0};
   auto reader = [&] {
     while (!done.load(std::memory_order_acquire)) {
-      auto list = (*sharded)->Suggest(probe, 10);
+      auto list = sharded->Suggest(probe, 10);
       if (!list.ok()) {
         mismatches.fetch_add(1);
         continue;
@@ -829,15 +791,15 @@ TEST_F(ShardingTest, ServingDuringChurnStaysOnOnePublishedGeneration) {
   for (size_t g = 0; g < kGenerations; ++g) {
     for (size_t i = prefix + g * chunk_size;
          i < prefix + (g + 1) * chunk_size; ++i) {
-      ASSERT_TRUE((*sharded)->Ingest(all_records[i]).ok());
+      ASSERT_TRUE(sharded->Ingest(all_records[i]).ok());
     }
-    ASSERT_TRUE((*sharded)->RebuildNow().ok());
+    ASSERT_TRUE(sharded->index_manager().RebuildNow().ok());
   }
   done.store(true, std::memory_order_release);
   for (auto& t : readers) t.join();
 
   EXPECT_EQ(mismatches.load(), 0u);
-  auto final_list = (*sharded)->Suggest(probe, 10);
+  auto final_list = sharded->Suggest(probe, 10);
   ASSERT_TRUE(final_list.ok());
   EXPECT_EQ(FingerprintOfList(*final_list), expected_fp[kGenerations]);
 }
@@ -848,11 +810,9 @@ TEST_F(ShardingTest, SingleShardSwapInvalidatesOnlyEntriesTouchingIt) {
   ClusterRig rig = MakeClusterRig();
   auto config = ClusterConfig();
   config.cache_capacity = 32;
-  ShardedEngineOptions options;
-  options.shards = 2;
-  options.hot_row_min_degree = 0;  // strict ownership: clusters stay apart
-  auto engine = ShardedEngine::Build(rig.records, config, options);
-  ASSERT_TRUE(engine.ok());
+  // Strict ownership: the clusters stay apart.
+  auto engine = BuildSharded(rig.records, config, 2, /*hot_row_min_degree=*/0);
+  ASSERT_NE(engine, nullptr);
 
   obs::MetricsRegistry& reg = obs::MetricsRegistry::Default();
   obs::Counter& hits = reg.GetCounter("pqsda.cache.hits_total");
@@ -870,43 +830,185 @@ TEST_F(ShardingTest, SingleShardSwapInvalidatesOnlyEntriesTouchingIt) {
   // Each cluster's expansion stays on its own shard (the precondition the
   // crafted corpus exists for).
   SuggestStats stats;
-  ASSERT_TRUE((*engine)->Suggest(probe_a, 5, &stats).ok());
+  ASSERT_TRUE(engine->Suggest(probe_a, 5, &stats).ok());
   ASSERT_EQ(stats.shards_touched, 1u);
-  ASSERT_TRUE((*engine)->Suggest(probe_b, 5, &stats).ok());
+  ASSERT_TRUE(engine->Suggest(probe_b, 5, &stats).ok());
   ASSERT_EQ(stats.shards_touched, 1u);
 
   const uint64_t hits0 = hits.Value();
   const uint64_t misses0 = misses.Value();
   const uint64_t stale0 = stale.Value();
-  ASSERT_TRUE((*engine)->Suggest(probe_a, 5).ok());  // hit
-  ASSERT_TRUE((*engine)->Suggest(probe_b, 5).ok());  // hit
+  ASSERT_TRUE(engine->Suggest(probe_a, 5).ok());  // hit
+  ASSERT_TRUE(engine->Suggest(probe_b, 5).ok());  // hit
   ASSERT_EQ(hits.Value(), hits0 + 2);
 
   // A shard-0-only delta: a fresh query crafted onto shard 0 (raw
   // weighting, so no global IQF coupling can reach shard 1's rows).
-  ASSERT_TRUE((*engine)
+  ASSERT_TRUE(engine
                   ->Ingest({9, QueryOnShard(rig.router, 0, "alphadelta"),
                             "ua9.com", 5000})
                   .ok());
-  ASSERT_TRUE((*engine)->RebuildNow().ok());
+  ASSERT_TRUE(engine->index_manager().RebuildNow().ok());
 
   // Shard 1's generation survived the swap: probe_b's entry is still
   // valid. Shard 0 moved: probe_a's entry is stale — detected at lookup,
   // erased, recomputed against the new build.
-  ASSERT_TRUE((*engine)->Suggest(probe_b, 5).ok());
+  ASSERT_TRUE(engine->Suggest(probe_b, 5).ok());
   EXPECT_EQ(hits.Value(), hits0 + 3);
   EXPECT_EQ(stale.Value(), stale0);
 
   const uint64_t misses_before_a = misses.Value();
-  ASSERT_TRUE((*engine)->Suggest(probe_a, 5).ok());
+  ASSERT_TRUE(engine->Suggest(probe_a, 5).ok());
   EXPECT_EQ(stale.Value(), stale0 + 1);
   EXPECT_EQ(misses.Value(), misses_before_a + 1);
   EXPECT_EQ(hits.Value(), hits0 + 3);  // no stale hit served
 
   // The recomputed entry caches under the new validation vector.
-  ASSERT_TRUE((*engine)->Suggest(probe_a, 5).ok());
+  ASSERT_TRUE(engine->Suggest(probe_a, 5).ok());
   EXPECT_EQ(hits.Value(), hits0 + 4);
   (void)misses0;
+}
+
+// ------------------------------------------- the one request path ----
+
+// Ingest through a sharded engine is the engine's ingest: records enter the
+// stream sessionizer (a user's open tail session is live serving context)
+// and the pqsda.ingest.* surface counts them.
+TEST_F(ShardingTest, ShardedIngestFeedsTailContextAndIngestMetrics) {
+  const auto records = ShardLog();
+  auto config = ShardConfig(false);
+  config.ingest.rebuild_min_records = SIZE_MAX;  // keep the tail open
+  auto engine = BuildSharded(records, config, 4);
+  ASSERT_NE(engine, nullptr);
+
+  obs::MetricsRegistry& reg = obs::MetricsRegistry::Default();
+  obs::Counter& ingested = reg.GetCounter("pqsda.ingest.records_total");
+  const uint64_t ingested0 = ingested.Value();
+
+  int64_t max_ts = 0;
+  for (const auto& r : records) max_ts = std::max(max_ts, r.timestamp);
+  const UserId fresh_user = 9'001;
+  ASSERT_TRUE(engine
+                  ->Ingest({fresh_user, records.front().query, "fresh.com",
+                            max_ts + 10})
+                  .ok());
+  ASSERT_TRUE(engine
+                  ->Ingest({fresh_user, records.back().query, "fresh.com",
+                            max_ts + 20})
+                  .ok());
+
+  const auto tail = engine->index_manager().TailContext(fresh_user);
+  ASSERT_EQ(tail.size(), 2u);
+  EXPECT_EQ(tail[0].first, records.front().query);
+  EXPECT_EQ(tail[1].first, records.back().query);
+  EXPECT_EQ(ingested.Value(), ingested0 + 2);
+  EXPECT_EQ(reg.GetGauge("pqsda.ingest.delta_depth").Value(), 2.0);
+  EXPECT_EQ(engine->index_manager().delta_depth(), 2u);
+}
+
+// A sharded rebuild that fails — on the threshold-scheduled path and on
+// RebuildNow — is counted, keeps the published generation, and leaves the
+// engine able to rebuild once the fault clears.
+TEST_F(ShardingTest, FailedShardedRebuildIsCounted) {
+  const auto records = ShardLog();
+  auto config = ShardConfig(false);
+  config.ingest.rebuild_min_records = 2;
+  auto engine = BuildSharded(records, config, 4);
+  ASSERT_NE(engine, nullptr);
+  IndexManager& index = engine->index_manager();
+
+  obs::Counter& failures = obs::MetricsRegistry::Default().GetCounter(
+      "pqsda.ingest.rebuild_failures_total");
+  const uint64_t failures0 = failures.Value();
+
+  FaultInjector::Default().SetValue(faults::kRebuildFailure, 1);
+  ASSERT_TRUE(engine->Ingest(records[0]).ok());
+  ASSERT_TRUE(engine->Ingest(records[1]).ok());  // schedules the rebuild
+  index.WaitForRebuilds();
+  EXPECT_EQ(failures.Value(), failures0 + 1);
+  EXPECT_EQ(engine->generation(), 0u);
+
+  ASSERT_TRUE(engine->Ingest(records[2]).ok());
+  EXPECT_FALSE(index.RebuildNow().ok());
+  EXPECT_EQ(failures.Value(), failures0 + 2);
+  EXPECT_EQ(engine->generation(), 0u);
+
+  FaultInjector::Default().Reset();
+  ASSERT_TRUE(engine->Ingest(records[3]).ok());
+  ASSERT_TRUE(index.RebuildNow().ok());
+  EXPECT_EQ(engine->generation(), 1u);
+  EXPECT_EQ(failures.Value(), failures0 + 2);
+}
+
+// A request served at 4 shards explains itself, is written to the request
+// log, and replays fingerprint-equal from its log entry through
+// PqsdaEngine::Replay — also after a swap retired its generation.
+TEST_F(ShardingTest, ShardedRequestExplainsAndReplaysFromTheRequestLog) {
+  const std::string log_path =
+      testing::TempDir() + "/sharded_replay_requests.jsonl";
+  std::remove(log_path.c_str());
+  obs::ServingTelemetry& telemetry = obs::ServingTelemetry::Install({});
+  obs::RequestLogOptions log_options;
+  log_options.path = log_path;
+  log_options.sample_every = 1;
+  log_options.slow_us = INT64_MAX;
+  auto log = obs::RequestLog::Open(log_options);
+  ASSERT_TRUE(log.ok());
+  telemetry.AttachRequestLog(std::move(log).value());
+
+  const auto records = ShardLog();
+  auto engine = BuildSharded(records, ShardConfig(/*personalize=*/true), 4,
+                             /*hot_row_min_degree=*/0);
+  ASSERT_NE(engine, nullptr);
+
+  // A personalized probe whose expansion crosses shards.
+  const auto probes = ShardProbes(records);
+  std::vector<obs::ExplainRecord> explained;
+  std::vector<std::vector<Suggestion>> served;
+  for (const auto& probe : probes) {
+    if (probe.user == kNoUser) continue;
+    SuggestStats stats;
+    ASSERT_TRUE(engine->Suggest(probe, 10, &stats).ok());
+    if (stats.shards_touched < 2) continue;
+    obs::ExplainRecord record;
+    auto list = engine->Suggest(probe, 10, nullptr, &record);
+    ASSERT_TRUE(list.ok());
+    explained.push_back(std::move(record));
+    served.push_back(std::move(list).value());
+    break;
+  }
+  ASSERT_EQ(explained.size(), 1u) << "no cross-shard personalized probe";
+  const obs::ExplainRecord& record = explained[0];
+  EXPECT_TRUE(record.ok);
+  EXPECT_EQ(record.generation, 0u);
+  EXPECT_EQ(record.fingerprint, FingerprintOfList(served[0]));
+  ASSERT_FALSE(record.candidates.empty());
+  EXPECT_EQ(record.candidates.front().query, served[0].front().query);
+
+  // Swap: the logged request's generation moves into the replay ring.
+  ASSERT_TRUE(engine->Ingest(records.front()).ok());
+  ASSERT_TRUE(engine->index_manager().RebuildNow().ok());
+  ASSERT_EQ(engine->generation(), 1u);
+
+  telemetry.request_log()->Flush();
+  auto entries = obs::ReadRequestLog(log_path, /*max_entries=*/0);
+  ASSERT_TRUE(entries.ok()) << entries.status().ToString();
+  const obs::RequestLogEntry* logged = nullptr;
+  for (const auto& entry : *entries) {
+    if (entry.request_id == record.request_id) logged = &entry;
+  }
+  ASSERT_NE(logged, nullptr);
+  EXPECT_EQ(logged->fingerprint, record.fingerprint);
+  EXPECT_EQ(logged->generation, 0u);
+
+  obs::ExplainRecord replay_record;
+  auto replayed = engine->Replay(*logged, &replay_record);
+  ASSERT_TRUE(replayed.ok()) << replayed.status().ToString();
+  ExpectIdenticalLists({served[0]}, {*replayed}, "sharded replay");
+  EXPECT_EQ(replay_record.fingerprint, record.fingerprint);
+
+  telemetry.AttachRequestLog(nullptr);
+  std::remove(log_path.c_str());
 }
 
 }  // namespace
