@@ -111,13 +111,6 @@ StatusOr<std::shared_ptr<IndexSnapshot>> BuildIndexSnapshot(
     snap->mb = std::make_unique<MultiBipartite>(MultiBipartite::Build(
         snap->records, snap->sessions, config.weighting));
   }
-  {
-    obs::TraceSpan span("corpus");
-    obs::StageScope stage(obs::ProfileStage::kGraphBuild);
-    obs::ScopedTimer timer(&corpus_us);
-    snap->corpus = std::make_unique<QueryLogCorpus>(
-        QueryLogCorpus::Build(snap->records, snap->sessions));
-  }
   snap->diversifier =
       std::make_unique<PqsdaDiversifier>(*snap->mb, config.diversifier);
   {
@@ -138,6 +131,14 @@ StatusOr<std::shared_ptr<IndexSnapshot>> BuildIndexSnapshot(
   }
   snap->upm_generation = generation;
   if (config.personalize) {
+    // Only UPM training and the Personalizer read the corpus.
+    {
+      obs::TraceSpan span("corpus");
+      obs::StageScope stage(obs::ProfileStage::kGraphBuild);
+      obs::ScopedTimer timer(&corpus_us);
+      snap->corpus = std::make_unique<QueryLogCorpus>(
+          QueryLogCorpus::Build(snap->records, snap->sessions));
+    }
     obs::TraceSpan span("upm_train");
     obs::StageScope stage(obs::ProfileStage::kGraphBuild);
     obs::ScopedTimer timer(&upm_train_us);

@@ -36,9 +36,9 @@ inline constexpr size_t kCacheValidationComponents = 8;
 
 /// One immutable, generation-numbered build of the §III query-log index and
 /// everything derived from it: the sorted records, their sessions, the
-/// multi-bipartite representation, the corpus, the diversifier bound to this
-/// representation, and (when personalization is on) the trained UPM and its
-/// Personalizer. A request acquires one snapshot (shared_ptr) at admission
+/// multi-bipartite representation, the diversifier bound to this
+/// representation, and (when personalization is on) the corpus, the trained
+/// UPM and its Personalizer. A request acquires one snapshot (shared_ptr) at admission
 /// and reads only it for its whole lifetime, so a concurrent rebuild can
 /// publish generation g+1 — and generation g can be reclaimed once the last
 /// in-flight request drops its reference — without ever blocking or tearing
@@ -57,12 +57,14 @@ struct IndexSnapshot {
   std::vector<QueryLogRecord> records;
   std::vector<Session> sessions;
   std::unique_ptr<MultiBipartite> mb;
-  std::unique_ptr<QueryLogCorpus> corpus;
   std::unique_ptr<PqsdaDiversifier> diversifier;
-  /// Null when the build skipped personalization.
+  /// Null when the build skipped personalization (only UPM training and the
+  /// Personalizer read the corpus).
+  std::unique_ptr<QueryLogCorpus> corpus;
   std::unique_ptr<UpmModel> upm;
   std::unique_ptr<Personalizer> personalizer;
-  /// Wall time the build took (sessionize + representation + corpus + UPM).
+  /// Wall time the build took (sessionize + representation, plus corpus and
+  /// UPM when personalizing).
   int64_t build_us = 0;
   /// Steady-clock instant (ns) this snapshot became the published one.
   int64_t published_ns = 0;
@@ -85,7 +87,7 @@ struct IndexSnapshot {
 };
 
 /// From-scratch batch build of one snapshot: sort, sessionize, representation,
-/// corpus, and (when configured) UPM + Personalizer. This is the single build
+/// and (when configured) corpus + UPM + Personalizer. This is the single build
 /// path — PqsdaEngine::Build uses it for generation 0 and IndexManager for
 /// every rebuild — so "incremental" and "batch" can only ever differ in the
 /// record vector they are handed.

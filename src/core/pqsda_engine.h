@@ -161,8 +161,10 @@ class PqsdaEngine {
   const PqsdaDiversifier& diversifier() const {
     return *index_->Acquire()->diversifier;
   }
-  const QueryLogCorpus& corpus() const { return *index_->Acquire()->corpus; }
   /// Null when personalization is disabled.
+  const QueryLogCorpus* corpus() const {
+    return index_->Acquire()->corpus.get();
+  }
   const UpmModel* upm() const { return index_->Acquire()->upm.get(); }
   const Personalizer* personalizer() const {
     return index_->Acquire()->personalizer.get();

@@ -15,9 +15,10 @@ namespace {
 // the exact expression of the local walk (StepThroughBipartite in
 // compact_builder.cc) — so a delta computed on behalf of any shard is
 // bit-identical to the one the unsharded loop would have added in place.
-void RowContributionInto(const CsrMatrix& q2o, const CsrMatrix& o2q,
-                         StringId q, double p, double scale,
-                         std::vector<std::pair<StringId, double>>& out) {
+// `emit(target, delta)` receives each contribution.
+template <typename Emit>
+void ForEachRowContribution(const CsrMatrix& q2o, const CsrMatrix& o2q,
+                            StringId q, double p, double scale, Emit&& emit) {
   double row_sum = q2o.RowSum(q);
   if (row_sum <= 0.0) return;
   auto obj_idx = q2o.RowIndices(q);
@@ -30,10 +31,21 @@ void RowContributionInto(const CsrMatrix& q2o, const CsrMatrix& o2q,
     auto q_idx = o2q.RowIndices(obj);
     auto q_val = o2q.RowValues(obj);
     for (size_t k2 = 0; k2 < q_idx.size(); ++k2) {
-      out.emplace_back(q_idx[k2], scale * p * p_obj * q_val[k2] / obj_sum);
+      emit(q_idx[k2], scale * p * p_obj * q_val[k2] / obj_sum);
     }
   }
 }
+
+// How one frontier row reaches the gather: summed in place (a local row),
+// dropped (a degraded shard's cold row), or replayed from a range of its
+// owning shard's fetched contributions.
+struct RowSlice {
+  static constexpr uint32_t kLocal = UINT32_MAX;
+  static constexpr uint32_t kDropped = UINT32_MAX - 1;
+  uint32_t shard = kDropped;
+  uint32_t begin = 0;
+  uint32_t end = 0;
+};
 
 }  // namespace
 
@@ -52,32 +64,30 @@ size_t ShardServingContext::TouchedShards() const {
   return n;
 }
 
-Status ShardedWalkBackend::Step(BipartiteKind kind,
-                                const FlatMap<StringId, double>& mass,
-                                double scale,
-                                FlatMap<StringId, double>& out) const {
+Status ShardedWalkBackend::Step(BipartiteKind kind, const WalkMass& mass,
+                                double scale, WalkMass& out) const {
   obs::StageScope stage(obs::ProfileStage::kScatterGather);
   const BipartiteGraph& g = ctx_->mb->graph(kind);
   const CsrMatrix& q2o = g.query_to_object();
   const CsrMatrix& o2q = g.object_to_query();
   const ShardPartition& part = *ctx_->partition;
 
-  // Snapshot the frontier in FlatMap insertion order: slot i of `deltas`
-  // belongs to frontier row i no matter which thread computes it, so the
-  // gather below can replay the canonical accumulation order exactly.
-  std::vector<std::pair<StringId, double>> frontier(mass.begin(), mass.end());
-  std::vector<std::vector<std::pair<StringId, double>>> deltas(frontier.size());
-  std::vector<std::vector<size_t>> per_shard(part.shards);
+  // Slot i of `slices` belongs to frontier row i (first-touch order of
+  // `mass`) no matter which thread computes it, so the gather below can
+  // replay the canonical accumulation order exactly.
+  const std::vector<StringId>& frontier = mass.order();
+  std::vector<RowSlice> slices(frontier.size());
+  std::vector<std::vector<uint32_t>> per_shard(part.shards);
   for (size_t i = 0; i < frontier.size(); ++i) {
-    const StringId q = frontier[i].first;
+    const StringId q = frontier[i];
     const size_t owner = part.query_owner[q];
     if (owner == ctx_->primary || part.hot[q] != 0) {
       // Local rows: the home shard's own slice plus the replicated hot
       // boundary rows. Never a fetch, never subject to another shard's
       // degradation — which is why a degraded shard costs only cold rows.
-      RowContributionInto(q2o, o2q, q, frontier[i].second, scale, deltas[i]);
+      slices[i].shard = RowSlice::kLocal;
     } else if (ctx_->Touch(owner) == SuggestStats::kShardFull) {
-      per_shard[owner].push_back(i);
+      per_shard[owner].push_back(static_cast<uint32_t>(i));
     }
     // Degraded/deadline owner: its cold rows contribute nothing, loudly
     // (Touch recorded the rung and raised the partial flag).
@@ -87,16 +97,42 @@ Status ShardedWalkBackend::Step(BipartiteKind kind,
   std::vector<size_t> involved;
   size_t fetched_rows = 0;
   for (size_t s = 0; s < part.shards; ++s) {
-    if (per_shard[s].empty()) continue;
+    const size_t rows = per_shard[s].size();
+    if (rows == 0) continue;
     involved.push_back(s);
-    ctx_->shard_fetches[s] += static_cast<uint32_t>(per_shard[s].size());
-    fetched_rows += per_shard[s].size();
+    ctx_->shard_fetches[s] += static_cast<uint32_t>(rows);
+    fetched_rows += rows;
+  }
+  // Each involved shard's rows computed into that shard's own buffers, in
+  // row order; a lane writes only its buffers and its rows' slices.
+  struct Fetched {
+    std::vector<StringId> targets;
+    std::vector<double> deltas;
+  };
+  std::vector<Fetched> fetched(part.shards);
+  for (size_t s : involved) {
+    // One allocation each, on the coordinating thread (which frees them): a
+    // row contributes at most the entries of its objects' rows.
+    size_t bound = 0;
+    for (uint32_t i : per_shard[s]) {
+      for (uint32_t obj : q2o.RowIndices(frontier[i])) bound += o2q.RowNnz(obj);
+    }
+    fetched[s].targets.reserve(bound);
+    fetched[s].deltas.reserve(bound);
   }
   auto fetch_shard = [&](size_t s) {
     injector.Hit(faults::kShardFetch);
-    for (size_t i : per_shard[s]) {
-      RowContributionInto(q2o, o2q, frontier[i].first, frontier[i].second,
-                          scale, deltas[i]);
+    Fetched& buffer = fetched[s];
+    for (uint32_t i : per_shard[s]) {
+      RowSlice& slice = slices[i];
+      slice.shard = static_cast<uint32_t>(s);
+      slice.begin = static_cast<uint32_t>(buffer.targets.size());
+      ForEachRowContribution(q2o, o2q, frontier[i], mass.value(frontier[i]),
+                             scale, [&buffer](StringId t, double d) {
+                               buffer.targets.push_back(t);
+                               buffer.deltas.push_back(d);
+                             });
+      slice.end = static_cast<uint32_t>(buffer.targets.size());
     }
   };
   // Scatter: one batched fetch per involved shard, on that shard's lane —
@@ -127,13 +163,21 @@ Status ShardedWalkBackend::Step(BipartiteKind kind,
     cv.wait(lock, [&remaining] { return remaining == 0; });
   }
 
-  // Gather: merge per-row contribution lists back in frontier order. Where
-  // a contribution was *computed* is free; where it is *summed* is the
-  // bitwise contract, and this loop is the same (row, k, k2) nest as the
-  // local walk.
-  for (size_t i = 0; i < deltas.size(); ++i) {
-    for (const auto& [target, delta] : deltas[i]) {
-      out[target] += delta;
+  // Gather, in frontier order: local rows are summed in place, fetched rows
+  // replayed from their shard's buffer. Where a contribution was *computed*
+  // is free; where it is *summed* is the bitwise contract, and this loop is
+  // the same (row, k, k2) nest as the local walk.
+  auto add = [&out](StringId t, double d) { out.Add(t, d); };
+  for (size_t i = 0; i < frontier.size(); ++i) {
+    const RowSlice& slice = slices[i];
+    if (slice.shard == RowSlice::kLocal) {
+      ForEachRowContribution(q2o, o2q, frontier[i], mass.value(frontier[i]),
+                             scale, add);
+    } else if (slice.shard != RowSlice::kDropped) {
+      const Fetched& buffer = fetched[slice.shard];
+      for (uint32_t e = slice.begin; e < slice.end; ++e) {
+        out.Add(buffer.targets[e], buffer.deltas[e]);
+      }
     }
   }
   obs::StageProfiler::AddWork(obs::ProfileStage::kScatterGather, fetched_rows);

@@ -74,8 +74,8 @@ class ShardedWalkBackend final : public CompactWalkBackend {
   ShardedWalkBackend(ShardServingContext* ctx, std::vector<ThreadPool*> lanes)
       : ctx_(ctx), lanes_(std::move(lanes)) {}
 
-  Status Step(BipartiteKind kind, const FlatMap<StringId, double>& mass,
-              double scale, FlatMap<StringId, double>& out) const override;
+  Status Step(BipartiteKind kind, const WalkMass& mass, double scale,
+              WalkMass& out) const override;
 
   Status QueryRow(BipartiteKind kind, StringId query,
                   std::span<const uint32_t>& indices,

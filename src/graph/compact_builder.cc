@@ -9,17 +9,17 @@ namespace {
 
 // One walk step from `mass` (global query id -> probability) through one
 // bipartite: q -> object -> q', using row-normalized transitions. Results are
-// accumulated into `out`. The flat maps iterate in insertion order, so the
+// accumulated into `out`. `mass` is walked in first-touch order, so the
 // accumulation order — and with it the admitted set — is deterministic.
 // This loop nest *is* the canonical order of the CompactWalkBackend bitwise
 // contract; the sharded backend (src/core/sharded_engine.cc) mirrors the
 // inner expression and replays this merge order on gathered contributions.
-void StepThroughBipartite(const BipartiteGraph& g,
-                          const FlatMap<StringId, double>& mass,
-                          double scale, FlatMap<StringId, double>& out) {
+void StepThroughBipartite(const BipartiteGraph& g, const WalkMass& mass,
+                          double scale, WalkMass& out) {
   const CsrMatrix& q2o = g.query_to_object();
   const CsrMatrix& o2q = g.object_to_query();
-  for (const auto& [q, p] : mass) {
+  for (StringId q : mass.order()) {
+    const double p = mass.value(q);
     double row_sum = q2o.RowSum(q);
     if (row_sum <= 0.0) continue;
     auto obj_idx = q2o.RowIndices(q);
@@ -32,13 +32,35 @@ void StepThroughBipartite(const BipartiteGraph& g,
       auto q_idx = o2q.RowIndices(obj);
       auto q_val = o2q.RowValues(obj);
       for (size_t k2 = 0; k2 < q_idx.size(); ++k2) {
-        out[q_idx[k2]] += scale * p * p_obj * q_val[k2] / obj_sum;
+        out.Add(q_idx[k2], scale * p * p_obj * q_val[k2] / obj_sum);
       }
     }
   }
 }
 
+// Walk scratch, one set per thread, reused by every build the thread runs.
+// The induction's buffers and the representation itself are allocated per
+// build: sized by the touched objects and the compact size, they would
+// otherwise stay resident in every serving thread between requests (~2 MB
+// of scratch at 3,200 users, ~2 MB of matrices at Q = 400).
+struct WalkScratch {
+  WalkMass mass;
+  WalkMass reached;
+  std::vector<std::pair<double, StringId>> outsiders;
+};
+
+WalkScratch& ThreadWalkScratch() {
+  static thread_local WalkScratch scratch;
+  return scratch;
+}
+
 }  // namespace
+
+void WalkMass::Reset(size_t num_queries) {
+  for (StringId q : order_) slots_[q] = Slot{};
+  order_.clear();
+  if (slots_.size() < num_queries) slots_.resize(num_queries);
+}
 
 StatusOr<CompactRepresentation> CompactBuilder::Build(
     StringId input_query, const std::vector<StringId>& context,
@@ -69,6 +91,7 @@ StatusOr<CompactRepresentation> CompactBuilder::BuildFromSeeds(
   }
 
   CompactRepresentation rep;
+  WalkScratch& scratch = ThreadWalkScratch();
   auto add_query = [&rep](StringId q) {
     if (rep.local_index.count(q) > 0) return;
     rep.local_index.emplace(q, static_cast<uint32_t>(rep.queries.size()));
@@ -83,14 +106,17 @@ StatusOr<CompactRepresentation> CompactBuilder::BuildFromSeeds(
   // Expansion: accumulate two-step walk probability from the current member
   // set, averaged over the three bipartites; each round admits the
   // highest-scoring outsiders.
-  FlatMap<StringId, double> mass;
-  for (StringId q : rep.queries) {
-    mass[q] = 1.0 / static_cast<double>(rep.queries.size());
-  }
+  const size_t num_queries = mb_->num_queries();
+  WalkMass& mass = scratch.mass;
+  WalkMass& reached = scratch.reached;
+  mass.Reset(num_queries);
+  const double seed_mass = 1.0 / static_cast<double>(rep.queries.size());
+  for (StringId q : rep.queries) mass.Add(q, seed_mass);
+  std::vector<std::pair<double, StringId>>& outsiders = scratch.outsiders;
   for (size_t round = 0;
        round < options.max_rounds && rep.queries.size() < options.target_size;
        ++round) {
-    FlatMap<StringId, double> reached;
+    reached.Reset(num_queries);
     for (BipartiteKind kind : kAllBipartites) {
       if (backend_ != nullptr) {
         Status step = backend_->Step(kind, mass, 1.0 / 3.0, reached);
@@ -103,9 +129,11 @@ StatusOr<CompactRepresentation> CompactBuilder::BuildFromSeeds(
       ++stats->rounds;
       stats->walk_steps += 3;
     }
-    std::vector<std::pair<double, StringId>> outsiders;
-    for (const auto& [q, p] : reached) {
-      if (rep.local_index.count(q) == 0) outsiders.emplace_back(p, q);
+    outsiders.clear();
+    for (StringId q : reached.order()) {
+      if (rep.local_index.count(q) == 0) {
+        outsiders.emplace_back(reached.value(q), q);
+      }
     }
     if (stats != nullptr) stats->candidates_scored += outsiders.size();
     if (outsiders.empty()) break;
@@ -121,17 +149,25 @@ StatusOr<CompactRepresentation> CompactBuilder::BuildFromSeeds(
     if (stats != nullptr) stats->queries_admitted += outsiders.size();
     // Next round walks from everything reached (members included) so deeper
     // neighborhoods can surface.
-    mass = std::move(reached);
+    mass.swap(reached);
   }
 
-  // Induce local W^X on the member queries; objects are re-indexed to those
-  // actually touched.
+  // Induce local W^X on the member queries, row by row; objects are
+  // re-indexed to those actually touched, in first-touch order, so only
+  // each row's few columns need sorting. Zero weights register their
+  // object but store no entry.
+  const size_t n = rep.queries.size();
+  FlatMap<uint32_t, uint32_t> object_index;
+  std::vector<std::pair<uint32_t, double>> row;
+  SelfProductScratch product;
+  std::vector<double> inv_sqrt(n);
   for (BipartiteKind kind : kAllBipartites) {
     size_t ki = static_cast<size_t>(kind);
     const CsrMatrix& q2o = mb_->graph(kind).query_to_object();
-    FlatMap<uint32_t, uint32_t> object_index;
-    std::vector<Triplet> triplets;
-    for (uint32_t local = 0; local < rep.queries.size(); ++local) {
+    object_index.clear();
+    CsrMatrix& w = rep.w[ki];
+    w.StartRows();
+    for (uint32_t local = 0; local < n; ++local) {
       StringId global = rep.queries[local];
       std::span<const uint32_t> idx;
       std::span<const double> val;
@@ -142,36 +178,39 @@ StatusOr<CompactRepresentation> CompactBuilder::BuildFromSeeds(
         idx = q2o.RowIndices(global);
         val = q2o.RowValues(global);
       }
+      row.clear();
       for (size_t k = 0; k < idx.size(); ++k) {
         auto [it, inserted] = object_index.emplace(
             idx[k], static_cast<uint32_t>(object_index.size()));
-        triplets.push_back(Triplet{local, it->second, val[k]});
+        if (val[k] != 0.0) row.emplace_back(it->second, val[k]);
       }
+      std::sort(row.begin(), row.end(),
+                [](const auto& a, const auto& b) { return a.first < b.first; });
+      for (const auto& [col, v] : row) w.AppendEntry(col, v);
+      w.FinishRow();
     }
-    rep.w[ki] = CsrMatrix::FromTriplets(rep.queries.size(),
-                                        object_index.size(),
-                                        std::move(triplets));
-    rep.affinity[ki] = rep.w[ki].MultiplySelfTranspose();
+    w.FinishRows(object_index.size());
+    w.MultiplySelfTransposeInto(rep.affinity[ki], product);
 
-    // S^X = D^{-1/2} A D^{-1/2} with D = diag(rowsum(A)).
+    // S^X = D^{-1/2} A D^{-1/2} with D = diag(rowsum(A)), over A's pattern
+    // (an entry that rounds to zero is dropped).
     const CsrMatrix& a = rep.affinity[ki];
-    std::vector<double> inv_sqrt(rep.queries.size(), 0.0);
-    for (size_t i = 0; i < rep.queries.size(); ++i) {
+    for (size_t i = 0; i < n; ++i) {
       double d = a.RowSum(i);
       inv_sqrt[i] = d > 0.0 ? 1.0 / std::sqrt(d) : 0.0;
     }
-    std::vector<Triplet> sym;
-    for (uint32_t i = 0; i < rep.queries.size(); ++i) {
+    CsrMatrix& sym = rep.sym_norm[ki];
+    sym.StartRows(a.nnz());
+    for (uint32_t i = 0; i < n; ++i) {
       auto idx = a.RowIndices(i);
       auto val = a.RowValues(i);
       for (size_t k = 0; k < idx.size(); ++k) {
-        sym.push_back(
-            Triplet{i, idx[k], val[k] * inv_sqrt[i] * inv_sqrt[idx[k]]});
+        const double v = val[k] * inv_sqrt[i] * inv_sqrt[idx[k]];
+        if (v != 0.0) sym.AppendEntry(idx[k], v);
       }
+      sym.FinishRow();
     }
-    rep.sym_norm[ki] = CsrMatrix::FromTriplets(rep.queries.size(),
-                                               rep.queries.size(),
-                                               std::move(sym));
+    sym.FinishRows(n);
     rep.row_norm[ki] = a.RowNormalized();
   }
   return rep;

@@ -74,6 +74,45 @@ struct CompactBuildStats {
   size_t queries_admitted = 0;
 };
 
+/// Walk probability over the full query set of one expansion round: a dense
+/// per-query value plus the order in which queries were first touched. Add
+/// reproduces the accumulation of an insertion-ordered map exactly — a
+/// query's value starts at 0.0 and sums its contributions in call order,
+/// and order() lists queries by first touch — without hashing, and a reset
+/// clears only the queries the last round touched, so one instance per
+/// thread serves every request allocation-free once it has grown.
+class WalkMass {
+ public:
+  /// Empties the mass for query ids below `num_queries`.
+  void Reset(size_t num_queries);
+
+  void Add(StringId q, double v) {
+    Slot& slot = slots_[q];
+    if (slot.touched == 0) {
+      slot.touched = 1;
+      order_.push_back(q);
+    }
+    slot.value += v;
+  }
+
+  /// Touched queries, in first-touch order.
+  const std::vector<StringId>& order() const { return order_; }
+  double value(StringId q) const { return slots_[q].value; }
+
+  void swap(WalkMass& other) {
+    slots_.swap(other.slots_);
+    order_.swap(other.order_);
+  }
+
+ private:
+  struct Slot {
+    double value = 0.0;
+    uint32_t touched = 0;
+  };
+  std::vector<Slot> slots_;
+  std::vector<StringId> order_;
+};
+
 /// The row-source seam of the §IV-A expansion. The walk and the induction
 /// read the full representation only through these two operations, so a
 /// scatter-gather coordinator can substitute per-shard fetches without the
@@ -83,9 +122,9 @@ struct CompactBuildStats {
 /// unsharded ones (tests/sharding_test.cc): FP addition is non-associative,
 /// so an implementation must reproduce the *canonical accumulation order*
 /// of the local walk exactly:
-///  - Step accumulates into `out` iterating `mass` in insertion order, each
-///    frontier row's objects in row order, each object row in row order,
-///    and every contribution evaluated as
+///  - Step accumulates into `out` (WalkMass::Add) iterating `mass` in
+///    first-touch order, each frontier row's objects in row order, each
+///    object row in row order, and every contribution evaluated as
 ///    `((((scale * p) * p_obj) * q_val[k2]) / obj_sum)` — where contributions
 ///    are computed is free (replica, remote shard), where they are *summed*
 ///    is not.
@@ -97,8 +136,8 @@ class CompactWalkBackend {
 
   /// One two-step walk pass (q -> object -> q') through `kind` from `mass`,
   /// accumulated into `out` in canonical order. Errors abort the build.
-  virtual Status Step(BipartiteKind kind, const FlatMap<StringId, double>& mass,
-                      double scale, FlatMap<StringId, double>& out) const = 0;
+  virtual Status Step(BipartiteKind kind, const WalkMass& mass, double scale,
+                      WalkMass& out) const = 0;
 
   /// The query->object row of one member query for the induction. An
   /// implementation may return empty spans for a row it cannot serve (a

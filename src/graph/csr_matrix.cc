@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cassert>
 #include <cmath>
-#include <unordered_map>
 
 #include "common/simd.h"
 
@@ -92,24 +91,33 @@ void CsrMatrix::TransposeMatVec(const std::vector<double>& x,
 }
 
 CsrMatrix CsrMatrix::Transpose() const {
-  CsrMatrix t(cols_, rows_);
-  std::vector<size_t> counts(cols_, 0);
-  for (uint32_t c : col_idx_) ++counts[c];
+  CsrMatrix t;
+  TransposeInto(t);
+  return t;
+}
+
+void CsrMatrix::TransposeInto(CsrMatrix& t) const {
+  assert(&t != this);
+  t.rows_ = cols_;
+  t.cols_ = rows_;
+  // Counting sort by column: count into row_ptr_[c + 1], prefix-sum, fill
+  // through row_ptr_[c] as the cursor, then shift the cursors back.
   t.row_ptr_.assign(cols_ + 1, 0);
-  for (size_t c = 0; c < cols_; ++c) {
-    t.row_ptr_[c + 1] = t.row_ptr_[c] + counts[c];
-  }
+  for (uint32_t c : col_idx_) ++t.row_ptr_[c + 1];
+  for (size_t c = 0; c < cols_; ++c) t.row_ptr_[c + 1] += t.row_ptr_[c];
+  t.col_idx_.reserve(nnz());
+  t.values_.reserve(nnz());
   t.col_idx_.resize(nnz());
   t.values_.resize(nnz());
-  std::vector<size_t> cursor(t.row_ptr_.begin(), t.row_ptr_.end() - 1);
   for (size_t i = 0; i < rows_; ++i) {
     for (size_t k = row_ptr_[i]; k < row_ptr_[i + 1]; ++k) {
-      size_t pos = cursor[col_idx_[k]]++;
+      size_t pos = t.row_ptr_[col_idx_[k]]++;
       t.col_idx_[pos] = static_cast<uint32_t>(i);
       t.values_[pos] = values_[k];
     }
   }
-  return t;
+  for (size_t c = cols_; c > 0; --c) t.row_ptr_[c] = t.row_ptr_[c - 1];
+  t.row_ptr_[0] = 0;
 }
 
 CsrMatrix CsrMatrix::RowNormalized() const {
@@ -124,6 +132,21 @@ CsrMatrix CsrMatrix::RowNormalized() const {
   return out;
 }
 
+void CsrMatrix::StartRows(size_t nnz_capacity) {
+  rows_ = 0;
+  cols_ = 0;
+  row_ptr_.assign(1, 0);
+  col_idx_.clear();
+  values_.clear();
+  col_idx_.reserve(nnz_capacity);
+  values_.reserve(nnz_capacity);
+}
+
+void CsrMatrix::FinishRows(size_t cols) {
+  assert(row_ptr_.size() == rows_ + 1);
+  cols_ = cols;
+}
+
 void CsrMatrix::ScaleColumns(const std::vector<double>& factor) {
   assert(factor.size() == cols_);
   for (size_t k = 0; k < values_.size(); ++k) {
@@ -136,31 +159,104 @@ void CsrMatrix::Scale(double s) {
 }
 
 CsrMatrix CsrMatrix::MultiplySelfTranspose(double drop_tol) const {
-  // Row-wise SpGEMM: (A A^T)(i, j) = sum_k A(i,k) A(j,k). We iterate row i,
-  // scattering through the transpose's rows (columns of A).
-  CsrMatrix at = Transpose();
-  CsrMatrix out(rows_, rows_);
-  out.row_ptr_.assign(rows_ + 1, 0);
-  std::unordered_map<uint32_t, double> acc;
-  for (size_t i = 0; i < rows_; ++i) {
-    acc.clear();
+  CsrMatrix out;
+  SelfProductScratch scratch;
+  MultiplySelfTransposeInto(out, scratch, drop_tol);
+  return out;
+}
+
+void CsrMatrix::MultiplySelfTransposeInto(CsrMatrix& out,
+                                          SelfProductScratch& s,
+                                          double drop_tol) const {
+  assert(&out != this);
+  const size_t n = rows_;
+  // The transpose's row k lists the rows holding column k, ascending, so
+  // the entries of row i's partners j >= i start at a cursor that moves
+  // one step each time a row holding k is multiplied.
+  TransposeInto(s.transpose);
+  const CsrMatrix& at = s.transpose;
+  s.cursor.assign(at.row_ptr_.begin(), at.row_ptr_.end() - 1);
+  if (s.acc.size() < n) {
+    s.acc.resize(n, 0.0);
+    s.mark.resize(n, 0);
+  }
+  s.upper_ptr.assign(1, 0);
+  s.lower.assign(n, 0);
+  out.col_idx_.clear();
+  out.values_.clear();
+
+  // Upper triangle A(i, j), j >= i, packed at the front of `out`: each
+  // entry accumulates its products in ascending column order of row i.
+  for (size_t i = 0; i < n; ++i) {
+    s.touched.clear();
     for (size_t k = row_ptr_[i]; k < row_ptr_[i + 1]; ++k) {
-      uint32_t obj = col_idx_[k];
-      double w = values_[k];
-      for (size_t k2 = at.row_ptr_[obj]; k2 < at.row_ptr_[obj + 1]; ++k2) {
-        acc[at.col_idx_[k2]] += w * at.values_[k2];
+      const uint32_t col = col_idx_[k];
+      const double w = values_[k];
+      const size_t end = at.row_ptr_[col + 1];
+      for (size_t k2 = s.cursor[col]++; k2 < end; ++k2) {
+        const uint32_t j = at.col_idx_[k2];
+        if (s.mark[j] == 0) {
+          s.mark[j] = 1;
+          s.touched.push_back(j);
+        }
+        s.acc[j] += w * at.values_[k2];
       }
     }
-    std::vector<std::pair<uint32_t, double>> row(acc.begin(), acc.end());
-    std::sort(row.begin(), row.end());
-    for (const auto& [j, v] : row) {
+    std::sort(s.touched.begin(), s.touched.end());
+    for (uint32_t j : s.touched) {
+      const double v = s.acc[j];
+      s.acc[j] = 0.0;
+      s.mark[j] = 0;
       if (std::abs(v) <= drop_tol) continue;
       out.col_idx_.push_back(j);
       out.values_.push_back(v);
+      if (j > i) ++s.lower[j];
     }
-    out.row_ptr_[i + 1] = out.col_idx_.size();
+    s.upper_ptr.push_back(out.col_idx_.size());
   }
-  return out;
+
+  // Mirror in place. Row i becomes its mirrored entries (columns < i,
+  // ascending) followed by its upper-triangle row.
+  out.rows_ = n;
+  out.cols_ = n;
+  out.row_ptr_.resize(n + 1);
+  out.row_ptr_[0] = 0;
+  for (size_t i = 0; i < n; ++i) {
+    const size_t below = s.lower[i];
+    s.lower[i] = out.row_ptr_[i];  // now the fill cursor of the lower part
+    out.row_ptr_[i + 1] =
+        out.row_ptr_[i] + below + (s.upper_ptr[i + 1] - s.upper_ptr[i]);
+  }
+  const size_t nnz_out = out.row_ptr_[n];
+  out.col_idx_.reserve(nnz_out);
+  out.values_.reserve(nnz_out);
+  out.col_idx_.resize(nnz_out);
+  out.values_.resize(nnz_out);
+  // Each upper row moves back to the end of its final row, last row first:
+  // a row's destination never starts before its source, and never reaches
+  // the source of an earlier row.
+  for (size_t i = n; i-- > 0;) {
+    const size_t len = s.upper_ptr[i + 1] - s.upper_ptr[i];
+    const size_t dst = out.row_ptr_[i + 1] - len;
+    std::copy_backward(out.col_idx_.begin() + s.upper_ptr[i],
+                       out.col_idx_.begin() + s.upper_ptr[i + 1],
+                       out.col_idx_.begin() + dst + len);
+    std::copy_backward(out.values_.begin() + s.upper_ptr[i],
+                       out.values_.begin() + s.upper_ptr[i + 1],
+                       out.values_.begin() + dst + len);
+  }
+  // The lower parts (disjoint from every moved upper row) take the mirror
+  // of each upper entry, rows ascending, so their columns ascend.
+  for (size_t i = 0; i < n; ++i) {
+    const size_t len = s.upper_ptr[i + 1] - s.upper_ptr[i];
+    for (size_t k = out.row_ptr_[i + 1] - len; k < out.row_ptr_[i + 1]; ++k) {
+      const uint32_t j = out.col_idx_[k];
+      if (j == i) continue;
+      const size_t pos = s.lower[j]++;
+      out.col_idx_[pos] = static_cast<uint32_t>(i);
+      out.values_[pos] = out.values_[k];
+    }
+  }
 }
 
 }  // namespace pqsda

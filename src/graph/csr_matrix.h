@@ -18,6 +18,8 @@ struct Triplet {
   double value = 0.0;
 };
 
+struct SelfProductScratch;
+
 /// Compressed-sparse-row matrix of doubles. The workhorse of the graph and
 /// solver layers: bipartite adjacency, query-affinity products and the
 /// regularization system (Eq. 15) are all CSR.
@@ -60,6 +62,8 @@ class CsrMatrix {
 
   /// A^T as a new CSR matrix.
   CsrMatrix Transpose() const;
+  /// A^T into `out`, reusing its storage.
+  void TransposeInto(CsrMatrix& out) const;
 
   /// Returns a copy with each row L1-normalized (rows summing to 0 stay 0).
   CsrMatrix RowNormalized() const;
@@ -70,10 +74,35 @@ class CsrMatrix {
   /// Scales all values by s (in place).
   void Scale(double s);
 
-  /// Computes A * A^T (rows x rows) with a per-row sparse accumulator. This
-  /// is the query-affinity product W^X W^{X^T} of the smoothness constraint
-  /// (Eq. 9). Entries below `drop_tol` are dropped to bound fill-in.
+  /// Computes A * A^T (rows x rows). This is the query-affinity product
+  /// W^X W^{X^T} of the smoothness constraint (Eq. 9). Entries with
+  /// |value| <= `drop_tol` are dropped to bound fill-in.
   CsrMatrix MultiplySelfTranspose(double drop_tol = 0.0) const;
+
+  /// MultiplySelfTranspose into `out`, with every intermediate buffer drawn
+  /// from `scratch`. Gustavson's row-wise product over the
+  /// upper triangle only — a dense rows()-length accumulator plus a touched
+  /// list per row — then the triangle is mirrored. Entry (i, j) sums
+  /// A(i, k) * A(j, k) over ascending k starting from 0.0; multiplication
+  /// commutes, so (j, i) holds the same bits and the product is exactly
+  /// symmetric.
+  void MultiplySelfTransposeInto(CsrMatrix& out, SelfProductScratch& scratch,
+                                 double drop_tol = 0.0) const;
+
+  /// Row-by-row assembly: StartRows empties the matrix (reserving
+  /// `nnz_capacity` entries when a bound is known), each row's entries are
+  /// appended in ascending column order and closed by FinishRow, and
+  /// FinishRows sets the column count.
+  void StartRows(size_t nnz_capacity = 0);
+  void AppendEntry(uint32_t col, double value) {
+    col_idx_.push_back(col);
+    values_.push_back(value);
+  }
+  void FinishRow() {
+    row_ptr_.push_back(col_idx_.size());
+    ++rows_;
+  }
+  void FinishRows(size_t cols);
 
  private:
   size_t rows_ = 0;
@@ -83,6 +112,24 @@ class CsrMatrix {
   /// 64-byte-aligned so the SIMD MatVec/TransposeMatVec kernels stream
   /// whole cache lines.
   AlignedVector<double> values_;
+};
+
+/// Reusable buffers of CsrMatrix::MultiplySelfTransposeInto. Between calls
+/// `acc` is all zeros and `mark` all clear: each row resets exactly the
+/// entries it touched.
+struct SelfProductScratch {
+  CsrMatrix transpose;
+  /// Per column of A: the position in `transpose`'s row of the first entry
+  /// whose row index is not below the row being multiplied.
+  std::vector<size_t> cursor;
+  std::vector<double> acc;
+  std::vector<uint8_t> mark;
+  std::vector<uint32_t> touched;
+  /// Row offsets of the upper triangle (diagonal included) while it sits
+  /// packed at the front of the output.
+  std::vector<size_t> upper_ptr;
+  /// Per row: mirrored entries below the diagonal, then their fill cursor.
+  std::vector<size_t> lower;
 };
 
 }  // namespace pqsda

@@ -271,7 +271,7 @@ MergedChain BuildMergedChain(const std::vector<const CsrMatrix*>& chains,
 
 void MergedChainHittingTimeInto(const MergedChain& chain,
                                 const std::vector<uint32_t>& seeds,
-                                size_t iterations, ThreadPool* pool,
+                                size_t iterations, ThreadPool* /*pool*/,
                                 HittingTimeWorkspace& ws,
                                 const CancelToken* cancel) {
   const size_t n = chain.m.rows;
@@ -287,30 +287,23 @@ void MergedChainHittingTimeInto(const MergedChain& chain,
   const auto dot = simd::ActiveSparseDot();
   for (size_t t = 0; t < iterations; ++t) {
     if (SweepInterrupted(cancel)) return;
-    auto sweep = [&](size_t begin, size_t end) {
-      const double* hp = h.data();
-      for (size_t v = begin; v < end; ++v) {
-        if (ws.is_seed[v] != 0) {
-          next[v] = 0.0;
-          continue;
-        }
-        const double mass = chain.mass[v];
-        if (mass <= 0.0) {
-          next[v] = static_cast<double>(t + 1);
-          continue;
-        }
-        // Sub-stochastic rows (drop-tolerance pruning) would leak mass
-        // into an implicit absorbing state; renormalize instead.
-        const size_t row_begin = chain.m.row_ptr[v];
-        next[v] = 1.0 + dot(chain.m.val.data() + row_begin,
-                            chain.m.col.data() + row_begin,
-                            chain.m.row_ptr[v + 1] - row_begin, hp) / mass;
+    const double* hp = h.data();
+    for (size_t v = 0; v < n; ++v) {
+      if (ws.is_seed[v] != 0) {
+        next[v] = 0.0;
+        continue;
       }
-    };
-    if (pool != nullptr) {
-      pool->ParallelFor(0, n, kSweepGrain, sweep);
-    } else {
-      sweep(0, n);
+      const double mass = chain.mass[v];
+      if (mass <= 0.0) {
+        next[v] = static_cast<double>(t + 1);
+        continue;
+      }
+      // Sub-stochastic rows (drop-tolerance pruning) would leak mass into
+      // an implicit absorbing state; renormalize instead.
+      const size_t row_begin = chain.m.row_ptr[v];
+      next[v] = 1.0 + dot(chain.m.val.data() + row_begin,
+                          chain.m.col.data() + row_begin,
+                          chain.m.row_ptr[v + 1] - row_begin, hp) / mass;
     }
     h.swap(next);
   }

@@ -116,7 +116,10 @@ MergedChain BuildMergedChain(const std::vector<const CsrMatrix*>& chains,
 
 /// ChainHittingTimeInto over a prebuilt MergedChain: same contract
 /// (seeds pinned to 0, dangling rows saturate at the horizon, cancel polled
-/// per iteration, result in `ws.h`).
+/// per iteration, result in `ws.h`). The sweeps run inline on the caller:
+/// at the compact size (Q ~ 400 rows, a few nonzeros each) a pool dispatch
+/// per sweep costs more than the sweep, and concurrent requests already
+/// occupy the cores. `pool` is accepted for call compatibility and ignored.
 void MergedChainHittingTimeInto(const MergedChain& chain,
                                 const std::vector<uint32_t>& seeds,
                                 size_t iterations, ThreadPool* pool,

@@ -368,8 +368,7 @@ StatusOr<DiversificationOutput> PqsdaDiversifier::DiversifyWith(
     size_t candidates_scored = 0;
     const size_t want = std::min(k, by_relevance.size());
     // The h/next/is_seed buffers persist across the K-1 rounds and across
-    // requests served by this thread; the sweeps run on the shared pool
-    // (inline when this thread is itself a pool worker, e.g. SuggestBatch).
+    // requests served by this thread; the sweeps run inline.
     static thread_local HittingTimeWorkspace ht_workspace;
     while (selected.size() < want) {
       // Round boundary: poll before spending another full sweep, and again
@@ -381,7 +380,7 @@ StatusOr<DiversificationOutput> PqsdaDiversifier::DiversifyWith(
         if (!interrupted.ok()) return interrupted;
       }
       MergedChainHittingTimeInto(merged, selected, options.hitting_iterations,
-                                 &ThreadPool::Shared(), ht_workspace, cancel);
+                                 nullptr, ht_workspace, cancel);
       if (cancel != nullptr) {
         Status interrupted = cancel->Check();
         if (!interrupted.ok()) return interrupted;
@@ -409,8 +408,8 @@ StatusOr<DiversificationOutput> PqsdaDiversifier::DiversifyWith(
         static thread_local HittingTimeWorkspace chain_ws;
         for (size_t x = 0; x < single_chains.size(); ++x) {
           MergedChainHittingTimeInto(single_chains[x], selected,
-                                     options.hitting_iterations,
-                                     &ThreadPool::Shared(), chain_ws, cancel);
+                                     options.hitting_iterations, nullptr,
+                                     chain_ws, cancel);
           const std::vector<double>& hx = chain_ws.h;
           size_t rank = 0;
           for (const auto& [rel2, q2] : by_relevance) {

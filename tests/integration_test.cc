@@ -182,10 +182,11 @@ TEST_F(IntegrationTest, SuggestStatsReportsAllPipelineStages) {
   // A sampled request carries a user drawn from the log, so the UPM rerank
   // actually runs.
   auto tests = SampleTestQueries(*p.data, 10, 31);
+  ASSERT_NE(p.engine->corpus(), nullptr);
   const TestQuery* chosen = nullptr;
   for (const auto& t : tests) {
     if (t.request.user != kNoUser &&
-        p.engine->corpus().DocumentOf(t.request.user) != SIZE_MAX) {
+        p.engine->corpus()->DocumentOf(t.request.user) != SIZE_MAX) {
       chosen = &t;
       break;
     }

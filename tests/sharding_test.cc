@@ -609,13 +609,14 @@ class CensoringBackend final : public CompactWalkBackend {
            part_->query_owner[q] != censored_;
   }
 
-  Status Step(BipartiteKind kind, const FlatMap<StringId, double>& mass,
-              double scale, FlatMap<StringId, double>& out) const override {
+  Status Step(BipartiteKind kind, const WalkMass& mass, double scale,
+              WalkMass& out) const override {
     const auto& g = mb_->graph(kind);
     const CsrMatrix& q2o = g.query_to_object();
     const CsrMatrix& o2q = g.object_to_query();
-    for (const auto& [q, p] : mass) {
+    for (StringId q : mass.order()) {
       if (!Served(q)) continue;
+      const double p = mass.value(q);
       double row_sum = q2o.RowSum(q);
       if (row_sum <= 0.0) continue;
       auto obj_idx = q2o.RowIndices(q);
@@ -628,7 +629,7 @@ class CensoringBackend final : public CompactWalkBackend {
         auto q_idx = o2q.RowIndices(obj);
         auto q_val = o2q.RowValues(obj);
         for (size_t k2 = 0; k2 < q_idx.size(); ++k2) {
-          out[q_idx[k2]] += scale * p * p_obj * q_val[k2] / obj_sum;
+          out.Add(q_idx[k2], scale * p * p_obj * q_val[k2] / obj_sum);
         }
       }
     }
