@@ -1,5 +1,5 @@
 // Serving-path benchmark: sequential Suggest loop vs SuggestBatch over a
-// thread pool, and the LRU result cache on a Zipf-shaped repeated workload.
+// thread pool, and the CAR result cache on a Zipf-shaped repeated workload.
 // Also verifies (and prints) the cache-hit contract: a repeated identical
 // request is served from cache, increments pqsda.cache.hits_total and
 // returns the exact list the miss computed — and exercises the live
@@ -51,10 +51,10 @@
 // Closes with the adaptive-cache scenario: a purpose-built corpus of many
 // small disconnected clusters served under a Zipf head with one-shot scan
 // pollution and swap churn from localized ingest deltas. Two gated
-// verdicts in BENCH_cache.json: the better of ARC/CAR must match-or-beat
-// LRU's hit rate under the scan traffic, and delta-aware validation must
-// keep at least kRetainedHitsFloor hits across the swap-churn schedule.
-// run_benches.sh enforces both.
+// verdicts in BENCH_cache.json: CAR's hit rate under the scan traffic must
+// reach kLruHitRateFloor, the rate LRU scored on the same schedule, and
+// delta-aware validation must keep at least kRetainedHitsFloor hits across
+// the swap-churn schedule. run_benches.sh enforces both.
 //
 // Scale knobs: PQSDA_USERS (default 150), PQSDA_TESTS (default 200 serving
 // requests), PQSDA_SERVE_THREADS (batch pool size, default 4),
@@ -1011,12 +1011,13 @@ void Main() {
     }
   }
 
-  // --- adaptive cache hierarchy: policy matrix + delta-aware retention --
+  // --- adaptive cache: CAR under scan pollution + delta-aware retention --
   // A Zipf head with one-shot scan pollution every 3rd request, and
   // generation swaps from small localized ingest deltas every
   // `swap_every` requests. Two verdicts, both gated by run_benches.sh:
-  //   - adaptivity: the better of ARC/CAR must match-or-beat LRU's hit
-  //     rate (the scan traffic is exactly what ARC/CAR exist to absorb);
+  //   - adaptivity: CAR's hit rate must reach kLruHitRateFloor, what an
+  //     LRU policy scored on this schedule (the scan traffic is exactly
+  //     what CAR's ghost lists exist to absorb);
   //   - retention: delta-aware validation must keep at least
   //     kRetainedHitsFloor hits across the swap-churn schedule.
   //
@@ -1118,7 +1119,6 @@ void Main() {
 
     struct CacheRun {
       const char* label;
-      CachePolicyKind policy;
       const std::vector<SuggestionRequest>* workload;
       size_t capacity;
       size_t swap_every;
@@ -1144,7 +1144,6 @@ void Main() {
       cache_config.weighting = EdgeWeighting::kRaw;  // fingerprints stay local
       cache_config.cache_capacity = run->capacity;
       cache_config.cache_shards = 1;
-      cache_config.cache_policy = run->policy;
       cache_config.ingest.rebuild_min_records = SIZE_MAX;  // swaps on demand
       auto built = PqsdaEngine::Build(cluster_log, cache_config);
       if (!built.ok()) {
@@ -1205,14 +1204,8 @@ void Main() {
                 cache_ops, cache_cap, swap_every, retention_cap,
                 retention_swap_every);
     CacheRun runs[] = {
-        {"lru/scan", CachePolicyKind::kLru, &cache_workload, cache_cap,
-         swap_every},
-        {"arc/scan", CachePolicyKind::kArc, &cache_workload, cache_cap,
-         swap_every},
-        {"car/scan", CachePolicyKind::kCar, &cache_workload, cache_cap,
-         swap_every},
-        {"arc/delta", CachePolicyKind::kArc, &churn_workload, retention_cap,
-         retention_swap_every},
+        {"car/scan", &cache_workload, cache_cap, swap_every},
+        {"car/delta", &churn_workload, retention_cap, retention_swap_every},
     };
     bool cache_ran = true;
     for (CacheRun& run : runs) cache_ran = run_workload(&run) && cache_ran;
@@ -1226,12 +1219,13 @@ void Main() {
                     static_cast<unsigned long long>(run.evictions),
                     100.0 * run.hit_rate, run.p95_us, run.swaps);
       }
-      const CacheRun& lru = runs[0];
-      const CacheRun& arc = runs[1];
-      const CacheRun& car = runs[2];
-      const CacheRun& delta_ret = runs[3];
-      const double adaptive_rate = std::max(arc.hit_rate, car.hit_rate);
-      const bool policy_gate = adaptive_rate >= lru.hit_rate;
+      const CacheRun& car = runs[0];
+      const CacheRun& delta_ret = runs[1];
+      // LRU's hit rate on the default schedule (1200 ops, capacity 24, one
+      // cache shard, synchronous swaps: deterministic), measured before the
+      // LRU, CLOCK and ARC policies were deleted. CAR scores 42.2% there.
+      constexpr double kLruHitRateFloor = 433.0 / 1200.0;
+      const bool policy_gate = car.hit_rate >= kLruHitRateFloor;
       // 1.3x the 611 hits whole-generation keying (every swap invalidates
       // every entry) scored on the default 1200-op schedule before that mode
       // was deleted; delta-aware scored 828 there. Scaled linearly for a
@@ -1240,9 +1234,9 @@ void Main() {
       const uint64_t retention_floor =
           (kRetainedHitsFloor * cache_ops + 1199) / 1200;
       const bool retention_gate = delta_ret.hits >= retention_floor;
-      std::printf("  adaptive(best of arc/car) vs lru hit rate: %.3f vs "
-                  "%.3f (gate >=: %s)\n",
-                  adaptive_rate, lru.hit_rate, policy_gate ? "PASS" : "FAIL");
+      std::printf("  car hit rate vs lru floor: %.4f vs %.4f (gate >=: %s)\n",
+                  car.hit_rate, kLruHitRateFloor,
+                  policy_gate ? "PASS" : "FAIL");
       std::printf("  delta-aware retained hits: %llu (gate >= %llu: %s)\n",
                   static_cast<unsigned long long>(delta_ret.hits),
                   static_cast<unsigned long long>(retention_floor),
@@ -1269,13 +1263,13 @@ void Main() {
         cache_json += buf;
       }
       std::snprintf(buf, sizeof(buf),
-                    "  ],\n  \"adaptive_hit_rate\": %.4f,\n"
-                    "  \"lru_hit_rate\": %.4f,\n"
+                    "  ],\n  \"car_hit_rate\": %.4f,\n"
+                    "  \"lru_hit_rate_floor\": %.4f,\n"
                     "  \"retained_hits\": %llu,\n"
                     "  \"retained_hits_floor\": %llu,\n"
                     "  \"policy_gate\": %s,\n  \"retention_gate\": %s,\n"
                     "  \"gate_pass\": %s\n}\n",
-                    adaptive_rate, lru.hit_rate,
+                    car.hit_rate, kLruHitRateFloor,
                     static_cast<unsigned long long>(delta_ret.hits),
                     static_cast<unsigned long long>(retention_floor),
                     policy_gate ? "true" : "false",

@@ -5,7 +5,8 @@
 //    the assembled system's rows, diagonal found by search) against the
 //    packed Eq. 15 operator sweep; the pre-SIMD sequential sparse dot
 //    against the dispatched kernel; the reference interleaved hitting-time
-//    sweep against the merged-chain sweep; and an end-to-end serving pass at
+//    sweep against the merged-chain sweep (both references link from
+//    tests/reference/); and an end-to-end serving pass at
 //    scalar vs best SIMD level, gated on the suggestion lists being bitwise
 //    identical. run_benches.sh greps the emitted gates.
 //
@@ -25,8 +26,9 @@
 #include "common/simd.h"
 #include "core/pqsda_engine.h"
 #include "graph/compact_builder.h"
+#include "reference/hitting_time.h"
+#include "reference/solvers.h"
 #include "solver/eq15_operator.h"
-#include "solver/linear_solvers.h"
 #include "solver/regularization.h"
 #include "suggest/hitting_time_suggester.h"
 #include "topic/corpus.h"

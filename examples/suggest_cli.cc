@@ -8,9 +8,9 @@
 //                                [--shed_queue_depth=N] [--min_rung=R]
 //                                [--ingest=N] [--tail=path] [--slo=SPECS]
 //                                [--log_rotate_kb=N] [--explain_every=N]
-//                                [--shards=N] [--cache_policy=NAME]
-//                                [--negative_cache=N] [--warmup_log=path]
-//                                [--warmup_max=N] [log.tsv]
+//                                [--shards=N] [--negative_cache=N]
+//                                [--warmup_log=path] [--warmup_max=N]
+//                                [log.tsv]
 //   > sun                      # plain query
 //   > @12 sun                  # personalize for user 12
 //   > batch sun; solar energy; @3 java     # serve ';'-separated requests
@@ -31,14 +31,13 @@
 // work counters (SuggestStats::Render()) plus the *delta* of the process
 // metrics registry across the request — what this one request recorded,
 // not the session's cumulative totals.
-// With --cache=N served lists are kept in an N-entry result cache;
-// repeated requests are answered from it (watch pqsda.cache.hits_total in
-// 'metrics'). Entries record the generation of every index component they
-// read, so a rebuild swap invalidates only the entries whose components
-// changed. --cache_policy=NAME picks the replacement policy (lru, clock,
-// arc, car), --negative_cache=N remembers N NotFound answers, and
-// --warmup_log=path (with --warmup_max=N) replays the newest requests of a
-// JSONL request log into the cache after every swap.
+// With --cache=N served lists are kept in an N-entry result cache under
+// CAR replacement; repeated requests are answered from it (watch
+// pqsda.cache.hits_total in 'metrics'). Entries record the generation of
+// every index component they read, so a rebuild swap invalidates only the
+// entries whose components changed. --negative_cache=N remembers N NotFound
+// answers, and --warmup_log=path (with --warmup_max=N) replays the newest
+// requests of a JSONL request log into the cache after every swap.
 //
 // Profiling & SLOs: serve mode also exposes /profilez (windowed per-stage
 // cost attribution tree, ?window=10s|1m|5m) and /alertz (burn-rate SLO
@@ -110,7 +109,6 @@
 
 #include "common/cancellation.h"
 #include "core/pqsda_engine.h"
-#include "suggest/cache_policy.h"
 #include "log/log_io.h"
 #include "obs/http_exporter.h"
 #include "obs/metrics.h"
@@ -164,7 +162,6 @@ int main(int argc, char** argv) {
   unsigned long log_rotate_kb = 0;
   unsigned long explain_every = 0;
   size_t shards = 0;
-  CachePolicyKind cache_policy = CachePolicyKind::kLru;
   size_t negative_cache = 0;
   const char* warmup_log = nullptr;
   unsigned long warmup_max = 0;
@@ -200,13 +197,6 @@ int main(int argc, char** argv) {
       explain_every = std::strtoul(argv[i] + 16, nullptr, 10);
     } else if (std::strncmp(argv[i], "--shards=", 9) == 0) {
       shards = std::strtoul(argv[i] + 9, nullptr, 10);
-    } else if (std::strncmp(argv[i], "--cache_policy=", 15) == 0) {
-      if (!ParseCachePolicy(argv[i] + 15, &cache_policy)) {
-        std::fprintf(stderr,
-                     "unknown cache policy '%s' (lru, clock, arc, car)\n",
-                     argv[i] + 15);
-        return 1;
-      }
     } else if (std::strncmp(argv[i], "--negative_cache=", 17) == 0) {
       negative_cache = std::strtoul(argv[i] + 17, nullptr, 10);
     } else if (std::strncmp(argv[i], "--warmup_log=", 13) == 0) {
@@ -318,7 +308,6 @@ int main(int argc, char** argv) {
   config.upm.base.num_topics = 12;
   config.upm.base.gibbs_iterations = 40;
   config.cache_capacity = cache_capacity;
-  config.cache_policy = cache_policy;
   config.negative_cache_capacity = negative_cache;
   config.sharding.shards = shards;
   if (warmup_log != nullptr) {
@@ -328,8 +317,7 @@ int main(int argc, char** argv) {
   config.robustness.min_rung = min_rung;
   config.robustness.shed_queue_depth = shed_queue_depth;
   if (cache_capacity > 0) {
-    std::printf("result cache enabled (%zu entries, policy %s)\n",
-                cache_capacity, CachePolicyName(cache_policy));
+    std::printf("result cache enabled (%zu entries, CAR)\n", cache_capacity);
   }
   if (negative_cache > 0) {
     std::printf("negative cache enabled (%zu known-NotFound entries)\n",

@@ -106,8 +106,8 @@ if ! grep -q '"all_served": true' BENCH_ingest.json 2>/dev/null ||
   echo "ingest-while-serving gate FAILED (see BENCH_ingest.json)" >&2
   exit 1
 fi
-# Adaptive cache hierarchy, both halves of its promise: the better of
-# ARC/CAR must match-or-beat LRU's hit rate under scan pollution, and
+# Adaptive cache, both halves of its promise: CAR's hit rate under scan
+# pollution must reach the floor LRU scored on the same schedule, and
 # delta-aware validation must keep at least the retained-hits floor
 # across the swap-churn schedule.
 if ! grep -q '"gate_pass": true' BENCH_cache.json 2>/dev/null; then

@@ -7,7 +7,6 @@
 
 #include "graph/multi_bipartite.h"
 #include "log/sessionizer.h"
-#include "suggest/cache_policy.h"
 #include "suggest/pqsda_diversifier.h"
 #include "topic/upm.h"
 
@@ -140,8 +139,6 @@ struct PqsdaEngineConfig {
   size_t cache_capacity = 0;
   /// Mutex shards of the cache (see SuggestionCacheOptions).
   size_t cache_shards = 8;
-  /// Replacement policy of each cache shard (the CLI's `--cache_policy=`).
-  CachePolicyKind cache_policy = CachePolicyKind::kLru;
   /// Capacity of the negative-result (NotFound) cache; 0 disables it.
   size_t negative_cache_capacity = 0;
   /// Post-swap warmup replay (see CacheWarmupOptions).

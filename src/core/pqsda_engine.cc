@@ -102,7 +102,6 @@ StatusOr<std::unique_ptr<PqsdaEngine>> PqsdaEngine::Build(
     SuggestionCacheOptions cache_options;
     cache_options.capacity = config.cache_capacity;
     cache_options.shards = config.cache_shards;
-    cache_options.policy = config.cache_policy;
     cache_options.name = "suggest";
     engine->cache_ = std::make_unique<SuggestionCache>(cache_options);
   }

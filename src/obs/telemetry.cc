@@ -377,8 +377,8 @@ std::string ServingTelemetry::StatuszJson() const {
              reg.GetCounter("pqsda.cache.negative_invalidations_total")
                  .Value());
   out += "}";
-  // Per-instance replacement-policy state (policy kind, occupancy, ARC/CAR
-  // list sizes and adaptation target) for every live cache.
+  // Per-instance CAR state (occupancy, list sizes and adaptation target)
+  // for every live cache.
   out += ",\"instances\":" + SuggestionCachesStatusJson();
   out += "}";
 

@@ -6,6 +6,7 @@
 #include <vector>
 
 #include "common/aligned.h"
+#include "common/thread_pool.h"
 #include "graph/compact_builder.h"
 #include "graph/packed_csr.h"
 #include "solver/linear_solvers.h"
@@ -27,8 +28,8 @@ struct Eq15Operator {
   /// 1 / diag[i] (0 for a zero diagonal), precomputed so the Jacobi /
   /// Gauss–Seidel row updates multiply instead of divide — the division was
   /// the longest dependency in the sweep. Solutions differ from the
-  /// divide-form CSR solvers by ulps; the kernel_equivalence suite gates
-  /// the agreement at 1e-9.
+  /// divide-form CSR reference solvers (tests/reference/solvers.h) by
+  /// ulps; the kernel_equivalence suite gates the agreement at 1e-9.
   AlignedVector<double> inv_diag;
   /// Merged strictly-off-diagonal part: off(i, j) = -sum_x alpha[x] *
   /// S^X(i, j), j != i, columns ascending.
@@ -37,9 +38,9 @@ struct Eq15Operator {
 
 /// Builds the operator from a compact representation's sym_norm matrices.
 /// Entry values accumulate per column in bipartite order (U, S, T). This
-/// fixes a deterministic summation order where the triplet-based
-/// AssembleRegularizationSystem left the order of equal-keyed triplets to
-/// std::sort; the two assemblies agree to ~1 ulp per entry (the
+/// fixes a deterministic summation order where the triplet-based reference
+/// assembly (tests/reference/solvers.h) leaves the order of equal-keyed
+/// triplets to std::sort; the two assemblies agree to ~1 ulp per entry (the
 /// kernel_equivalence suite gates on 1e-12 relative).
 Eq15Operator BuildEq15Operator(const CompactRepresentation& rep,
                                const std::array<double, 3>& alpha);
@@ -54,11 +55,12 @@ double Eq15RelativeResidual(const Eq15Operator& op,
                             const std::vector<double>& b,
                             std::vector<double>& ax);
 
-/// The linear_solvers.h iterative solvers specialized to the split
-/// operator: identical options, cancellation granularity, work attribution
-/// and result contract, with the row sweeps running on the packed layout
-/// via the SIMD kernels. An exact all-zero b returns a converged zero
-/// iterate immediately (iterations = 0).
+/// The iterative solvers of Eq. 15 on the split operator (options, result
+/// and workspace types in linear_solvers.h), with the row sweeps running on
+/// the packed layout via the SIMD kernels. Each polls SolverOptions::cancel
+/// at the configured granularity and attributes its iterations to the
+/// profiled request. An exact all-zero b returns a converged zero iterate
+/// immediately (iterations = 0).
 SolverResult JacobiSolve(const Eq15Operator& op, const std::vector<double>& b,
                          std::vector<double>& x, const SolverOptions& options);
 

@@ -6,8 +6,6 @@
 
 #include "common/cancellation.h"
 #include "common/status.h"
-#include "common/thread_pool.h"
-#include "graph/csr_matrix.h"
 
 namespace pqsda {
 
@@ -43,43 +41,6 @@ struct SolverResult {
   /// not be served.
   Status interrupt;
 };
-
-/// Relative residual ||Ax - b|| / ||b||.
-double RelativeResidual(const CsrMatrix& a, const std::vector<double>& x,
-                        const std::vector<double>& b);
-
-/// Jacobi iteration on A x = b. Converges for strictly diagonally dominant
-/// A — which Eq. 15's matrix is by construction. `x` is the initial guess on
-/// entry and the solution on exit.
-SolverResult JacobiSolve(const CsrMatrix& a, const std::vector<double>& b,
-                         std::vector<double>& x, const SolverOptions& options);
-
-/// Gauss–Seidel iteration; same requirements as Jacobi, usually ~2x faster.
-SolverResult GaussSeidelSolve(const CsrMatrix& a, const std::vector<double>& b,
-                              std::vector<double>& x,
-                              const SolverOptions& options);
-
-/// Conjugate gradients; requires symmetric positive-definite A.
-SolverResult ConjugateGradientSolve(const CsrMatrix& a,
-                                    const std::vector<double>& b,
-                                    std::vector<double>& x,
-                                    const SolverOptions& options);
-
-/// Multi-threaded Jacobi: each sweep's rows are computed from the previous
-/// iterate, so rows partition perfectly across threads (this is the
-/// "parallelized solver" route §IV-B sketches for scaling Eq. 15). Sweeps
-/// run on a persistent ThreadPool (`pool`, defaulting to
-/// ThreadPool::Shared()) instead of spawning threads per iteration;
-/// `threads` caps how many chunks a sweep is split into (0 = pool size) and
-/// never changes the result — Jacobi is deterministic under any row
-/// partition. `workspace`, when non-null, supplies the scratch buffers.
-SolverResult JacobiSolveParallel(const CsrMatrix& a,
-                                 const std::vector<double>& b,
-                                 std::vector<double>& x,
-                                 const SolverOptions& options,
-                                 size_t threads = 0,
-                                 ThreadPool* pool = nullptr,
-                                 SolverWorkspace* workspace = nullptr);
 
 }  // namespace pqsda
 

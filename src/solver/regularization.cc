@@ -36,27 +36,6 @@ void BuildF0Into(const CompactRepresentation& rep, StringId input_query,
   }
 }
 
-CsrMatrix AssembleRegularizationSystem(const CompactRepresentation& rep,
-                                       const std::array<double, 3>& alpha) {
-  const size_t n = rep.size();
-  double alpha_sum = alpha[0] + alpha[1] + alpha[2];
-  std::vector<Triplet> triplets;
-  for (uint32_t i = 0; i < n; ++i) {
-    triplets.push_back(Triplet{i, i, 1.0 + alpha_sum});
-  }
-  for (size_t x = 0; x < 3; ++x) {
-    const CsrMatrix& s = rep.sym_norm[x];
-    for (uint32_t i = 0; i < n; ++i) {
-      auto idx = s.RowIndices(i);
-      auto val = s.RowValues(i);
-      for (size_t k = 0; k < idx.size(); ++k) {
-        triplets.push_back(Triplet{i, idx[k], -alpha[x] * val[k]});
-      }
-    }
-  }
-  return CsrMatrix::FromTriplets(n, n, std::move(triplets));
-}
-
 StatusOr<std::vector<double>> SolveRegularization(
     const CompactRepresentation& rep, const std::vector<double>& f0,
     const RegularizationOptions& options, SolverResult* result_out,

@@ -7,6 +7,7 @@
 #include <vector>
 
 #include "common/status.h"
+#include "common/thread_pool.h"
 #include "graph/compact_builder.h"
 #include "solver/linear_solvers.h"
 
@@ -51,16 +52,6 @@ void BuildF0Into(const CompactRepresentation& rep, StringId input_query,
                  int64_t input_timestamp,
                  const std::vector<std::pair<StringId, int64_t>>& context,
                  double decay_lambda, std::vector<double>& f0);
-
-/// Assembles the Eq. 15 coefficient matrix
-/// (1 + sum_X alpha^X) I - sum_X alpha^X S^X over the compact
-/// representation. The result is strictly diagonally dominant (S^X row sums
-/// are <= 1), so the classic iterative solvers converge. This is the
-/// reference (triplet-based) assembly kept for tests and as the oracle of
-/// the kernel_equivalence suite; SolveRegularization itself runs on the
-/// packed split-diagonal BuildEq15Operator form (solver/eq15_operator.h).
-CsrMatrix AssembleRegularizationSystem(const CompactRepresentation& rep,
-                                       const std::array<double, 3>& alpha);
 
 /// Solves Eq. 15 for F* given F^0. Returns the relevance estimate per local
 /// query, or NotConverged if the solver failed to reach tolerance.

@@ -1,487 +1,130 @@
 #include "suggest/cache_policy.h"
 
 #include <algorithm>
-#include <cstring>
-#include <list>
-#include <unordered_map>
-#include <utility>
+#include <iterator>
 
 namespace pqsda {
 
-const char* CachePolicyName(CachePolicyKind kind) {
-  switch (kind) {
-    case CachePolicyKind::kLru: return "lru";
-    case CachePolicyKind::kClock: return "clock";
-    case CachePolicyKind::kArc: return "arc";
-    case CachePolicyKind::kCar: return "car";
+CarPolicy::CarPolicy(size_t capacity) : c_(std::max<size_t>(capacity, 1)) {}
+
+void CarPolicy::OnHit(const std::string& key) {
+  auto it = index_.find(key);
+  if (it == index_.end() || (it->second.list != kT1 && it->second.list != kT2)) {
+    return;
   }
-  return "lru";
+  it->second.clock_pos->ref = true;
 }
 
-bool ParseCachePolicy(const std::string& name, CachePolicyKind* out) {
-  if (name == "lru") *out = CachePolicyKind::kLru;
-  else if (name == "clock") *out = CachePolicyKind::kClock;
-  else if (name == "arc") *out = CachePolicyKind::kArc;
-  else if (name == "car") *out = CachePolicyKind::kCar;
-  else return false;
+bool CarPolicy::OnInsert(const std::string& key,
+                         std::vector<std::string>* evicted) {
+  auto it = index_.find(key);
+  const bool in_b1 = it != index_.end() && it->second.list == kB1;
+  const bool in_b2 = it != index_.end() && it->second.list == kB2;
+  if (t1_.size() + t2_.size() == c_) ReplaceClock(evicted);
+  if (!in_b1 && !in_b2) {
+    // Ghost-directory bounding, per the paper: only a miss on both
+    // directories discards ghost history, and the checks read the sizes
+    // *after* the replacement above. The paper runs them only when the
+    // cache was full, which keeps |T1|+|B1| <= c and the four lists <= 2c
+    // as long as residents leave by replacement alone. An OnErase frees a
+    // slot without touching B1/B2, so the next miss skips the replacement
+    // while the directory may already sit at a bound; checking on every
+    // such miss keeps both bounds. Without erases a miss skips the
+    // replacement only before the cache first fills, when both ghost lists
+    // are empty, so there the checks decide exactly as the paper's.
+    if (t1_.size() + b1_.size() >= c_) {
+      DropGhostLru(b1_);
+    } else if (t1_.size() + t2_.size() + b1_.size() + b2_.size() >= 2 * c_) {
+      DropGhostLru(b2_);
+    }
+    t1_.push_back(ClockEntry{key, false});
+    index_[key] = Loc{kT1, std::prev(t1_.end()), {}};
+    return false;
+  }
+  if (in_b1) {
+    const size_t delta = std::max<size_t>(b2_.size() / b1_.size(), 1);
+    p_ = std::min(c_, p_ + delta);
+  } else {
+    const size_t delta = std::max<size_t>(b1_.size() / b2_.size(), 1);
+    p_ = p_ > delta ? p_ - delta : 0;
+  }
+  (in_b1 ? b1_ : b2_).erase(it->second.ghost_pos);
+  t2_.push_back(ClockEntry{key, false});
+  it->second = Loc{kT2, std::prev(t2_.end()), {}};
   return true;
 }
 
-namespace {
-
-// ------------------------------------------------------------------ LRU --
-
-class LruPolicy final : public CachePolicy {
- public:
-  explicit LruPolicy(size_t capacity) : capacity_(std::max<size_t>(capacity, 1)) {}
-
-  void OnHit(const std::string& key) override {
-    auto it = index_.find(key);
-    if (it == index_.end()) return;
-    lru_.splice(lru_.begin(), lru_, it->second);
+void CarPolicy::OnErase(const std::string& key) {
+  auto it = index_.find(key);
+  if (it == index_.end() || (it->second.list != kT1 && it->second.list != kT2)) {
+    return;
   }
+  (it->second.list == kT1 ? t1_ : t2_).erase(it->second.clock_pos);
+  index_.erase(it);
+}
 
-  bool OnInsert(const std::string& key,
-                std::vector<std::string>* evicted) override {
-    lru_.push_front(key);
-    index_[key] = lru_.begin();
-    if (lru_.size() > capacity_) {
-      if (evicted != nullptr) evicted->push_back(lru_.back());
-      index_.erase(lru_.back());
-      lru_.pop_back();
-    }
-    return false;
-  }
+void CarPolicy::Clear() {
+  t1_.clear();
+  t2_.clear();
+  b1_.clear();
+  b2_.clear();
+  index_.clear();
+  p_ = 0;
+}
 
-  void OnErase(const std::string& key) override {
-    auto it = index_.find(key);
-    if (it == index_.end()) return;
-    lru_.erase(it->second);
-    index_.erase(it);
-  }
+CachePolicyStatus CarPolicy::StatusNow() const {
+  CachePolicyStatus s;
+  s.resident = resident();
+  s.capacity = c_;
+  s.t1 = t1_.size();
+  s.t2 = t2_.size();
+  s.b1 = b1_.size();
+  s.b2 = b2_.size();
+  s.p = p_;
+  return s;
+}
 
-  void Clear() override {
-    lru_.clear();
-    index_.clear();
-  }
-
-  size_t resident() const override { return lru_.size(); }
-
-  CachePolicyStatus StatusNow() const override {
-    CachePolicyStatus s;
-    s.resident = lru_.size();
-    s.capacity = capacity_;
-    s.t1 = lru_.size();
-    return s;
-  }
-
-  CachePolicyKind kind() const override { return CachePolicyKind::kLru; }
-
- private:
-  size_t capacity_;
-  std::list<std::string> lru_;  // front = MRU
-  std::unordered_map<std::string, std::list<std::string>::iterator> index_;
-};
-
-// ---------------------------------------------------------------- CLOCK --
-
-// Fixed slot array with one reference bit per entry and a hand that only
-// moves to evict. Deterministic slot discipline (the oracle's reference
-// model mirrors it exactly): a free slot is always the lowest-index unused
-// one; when full, the hand sweeps from its current position clearing
-// reference bits until it finds a 0-bit victim, replaces it in place, and
-// parks one past it.
-class ClockPolicy final : public CachePolicy {
- public:
-  explicit ClockPolicy(size_t capacity)
-      : capacity_(std::max<size_t>(capacity, 1)), slots_(capacity_) {}
-
-  void OnHit(const std::string& key) override {
-    auto it = index_.find(key);
-    if (it == index_.end()) return;
-    slots_[it->second].ref = true;
-  }
-
-  bool OnInsert(const std::string& key,
-                std::vector<std::string>* evicted) override {
-    if (resident_ < capacity_) {
-      size_t s = 0;
-      while (slots_[s].used) ++s;
-      slots_[s] = Slot{key, /*ref=*/false, /*used=*/true};
-      index_[key] = s;
-      ++resident_;
-      return false;
-    }
-    while (slots_[hand_].ref) {
-      slots_[hand_].ref = false;
-      hand_ = (hand_ + 1) % capacity_;
-    }
-    if (evicted != nullptr) evicted->push_back(slots_[hand_].key);
-    index_.erase(slots_[hand_].key);
-    slots_[hand_] = Slot{key, /*ref=*/false, /*used=*/true};
-    index_[key] = hand_;
-    hand_ = (hand_ + 1) % capacity_;
-    return false;
-  }
-
-  void OnErase(const std::string& key) override {
-    auto it = index_.find(key);
-    if (it == index_.end()) return;
-    slots_[it->second] = Slot{};
-    index_.erase(it);
-    --resident_;
-  }
-
-  void Clear() override {
-    std::fill(slots_.begin(), slots_.end(), Slot{});
-    index_.clear();
-    resident_ = 0;
-    hand_ = 0;
-  }
-
-  size_t resident() const override { return resident_; }
-
-  CachePolicyStatus StatusNow() const override {
-    CachePolicyStatus s;
-    s.resident = resident_;
-    s.capacity = capacity_;
-    s.t1 = resident_;
-    return s;
-  }
-
-  CachePolicyKind kind() const override { return CachePolicyKind::kClock; }
-
- private:
-  struct Slot {
-    std::string key;
-    bool ref = false;
-    bool used = false;
-  };
-
-  size_t capacity_;
-  std::vector<Slot> slots_;
-  std::unordered_map<std::string, size_t> index_;
-  size_t resident_ = 0;
-  size_t hand_ = 0;
-};
-
-// ------------------------------------------------------------------ ARC --
-
-// Megiddo & Modha's ARC(c), transcribed from the canonical case analysis:
-// T1/T2 resident (recency/frequency, MRU at front), B1/B2 ghost keys, and
-// the adaptation target p for |T1|. Integer arithmetic throughout, exactly
-// as the paper specifies, so the oracle's literal reference transcription
-// must agree decision-for-decision.
-class ArcPolicy final : public CachePolicy {
- public:
-  explicit ArcPolicy(size_t capacity) : c_(std::max<size_t>(capacity, 1)) {}
-
-  void OnHit(const std::string& key) override {
-    auto it = index_.find(key);
-    if (it == index_.end() || (it->second.list != kT1 && it->second.list != kT2)) {
-      return;
-    }
-    Move(it->second, kT2);
-  }
-
-  bool OnInsert(const std::string& key,
-                std::vector<std::string>* evicted) override {
-    auto it = index_.find(key);
-    if (it != index_.end() && it->second.list == kB1) {
-      // Case II: ghost hit in B1 — recency is under-provisioned.
-      const size_t delta = std::max<size_t>(b2_.size() / b1_.size(), 1);
-      p_ = std::min(c_, p_ + delta);
-      Replace(/*in_b2=*/false, evicted);
-      Move(it->second, kT2);
-      return true;
-    }
-    if (it != index_.end() && it->second.list == kB2) {
-      // Case III: ghost hit in B2 — frequency is under-provisioned.
-      const size_t delta = std::max<size_t>(b1_.size() / b2_.size(), 1);
-      p_ = p_ > delta ? p_ - delta : 0;
-      Replace(/*in_b2=*/true, evicted);
-      Move(it->second, kT2);
-      return true;
-    }
-    // Case IV: a completely new key.
-    const size_t l1 = t1_.size() + b1_.size();
-    if (l1 == c_) {
-      if (t1_.size() < c_) {
-        DropLru(kB1);
-        Replace(/*in_b2=*/false, evicted);
-      } else {
-        // B1 is empty and T1 holds the whole budget: drop T1's LRU outright.
-        if (evicted != nullptr) evicted->push_back(t1_.back());
-        index_.erase(t1_.back());
-        t1_.pop_back();
+/// The paper's replace(): sweep the T1 or T2 clock (head = front) until a
+/// 0-bit page surfaces, demoting it to the matching ghost list; 1-bit pages
+/// are cleared and recirculated to T2's tail.
+void CarPolicy::ReplaceClock(std::vector<std::string>* evicted) {
+  for (;;) {
+    if (t1_.size() >= std::max<size_t>(p_, 1)) {
+      ClockEntry& head = t1_.front();
+      if (!head.ref) {
+        if (evicted != nullptr) evicted->push_back(head.key);
+        auto it = index_.find(head.key);
+        b1_.push_front(head.key);
+        it->second = Loc{kB1, {}, b1_.begin()};
+        t1_.pop_front();
+        return;
       }
-    } else if (l1 < c_) {
-      const size_t total = t1_.size() + t2_.size() + b1_.size() + b2_.size();
-      if (total >= c_) {
-        if (total == 2 * c_) DropLru(kB2);
-        Replace(/*in_b2=*/false, evicted);
-      }
-    }
-    t1_.push_front(key);
-    index_[key] = Loc{kT1, t1_.begin()};
-    return false;
-  }
-
-  void OnErase(const std::string& key) override {
-    auto it = index_.find(key);
-    if (it == index_.end() || (it->second.list != kT1 && it->second.list != kT2)) {
-      return;
-    }
-    ListOf(it->second.list).erase(it->second.pos);
-    index_.erase(it);
-  }
-
-  void Clear() override {
-    t1_.clear();
-    t2_.clear();
-    b1_.clear();
-    b2_.clear();
-    index_.clear();
-    p_ = 0;
-  }
-
-  size_t resident() const override { return t1_.size() + t2_.size(); }
-
-  CachePolicyStatus StatusNow() const override {
-    CachePolicyStatus s;
-    s.resident = resident();
-    s.capacity = c_;
-    s.t1 = t1_.size();
-    s.t2 = t2_.size();
-    s.b1 = b1_.size();
-    s.b2 = b2_.size();
-    s.p = p_;
-    return s;
-  }
-
-  CachePolicyKind kind() const override { return CachePolicyKind::kArc; }
-
- private:
-  enum ListId { kT1, kT2, kB1, kB2 };
-  struct Loc {
-    ListId list;
-    std::list<std::string>::iterator pos;
-  };
-
-  std::list<std::string>& ListOf(ListId id) {
-    switch (id) {
-      case kT1: return t1_;
-      case kT2: return t2_;
-      case kB1: return b1_;
-      case kB2: return b2_;
-    }
-    return t1_;
-  }
-
-  /// Moves the key at `loc` to the MRU position of `to`, updating the index.
-  void Move(Loc& loc, ListId to) {
-    std::list<std::string>& dst = ListOf(to);
-    dst.splice(dst.begin(), ListOf(loc.list), loc.pos);
-    loc.list = to;
-    loc.pos = dst.begin();
-  }
-
-  /// The paper's REPLACE(x, p): demote T1's or T2's LRU to its ghost list.
-  void Replace(bool in_b2, std::vector<std::string>* evicted) {
-    if (!t1_.empty() &&
-        ((in_b2 && t1_.size() == p_) || t1_.size() > p_)) {
-      if (evicted != nullptr) evicted->push_back(t1_.back());
-      auto it = index_.find(t1_.back());
-      b1_.splice(b1_.begin(), t1_, it->second.pos);
-      it->second = Loc{kB1, b1_.begin()};
-    } else if (!t2_.empty()) {
-      if (evicted != nullptr) evicted->push_back(t2_.back());
-      auto it = index_.find(t2_.back());
-      b2_.splice(b2_.begin(), t2_, it->second.pos);
-      it->second = Loc{kB2, b2_.begin()};
-    }
-  }
-
-  void DropLru(ListId id) {
-    std::list<std::string>& l = ListOf(id);
-    if (l.empty()) return;
-    index_.erase(l.back());
-    l.pop_back();
-  }
-
-  size_t c_;
-  size_t p_ = 0;
-  std::list<std::string> t1_, t2_, b1_, b2_;  // front = MRU (T) / head (B)
-  std::unordered_map<std::string, Loc> index_;
-};
-
-// ------------------------------------------------------------------ CAR --
-
-// Bansal & Modha's CLOCK with Adaptive Replacement: T1/T2 are circular
-// clocks (front = hand) with one reference bit per page, B1/B2 plain LRU
-// ghost lists, p the T1 target. A hit only sets the reference bit — no list
-// movement, which is the point of CAR over ARC (hits are lock-free in the
-// original; here they stay O(1) without touching list order).
-class CarPolicy final : public CachePolicy {
- public:
-  explicit CarPolicy(size_t capacity) : c_(std::max<size_t>(capacity, 1)) {}
-
-  void OnHit(const std::string& key) override {
-    auto it = index_.find(key);
-    if (it == index_.end() || (it->second.list != kT1 && it->second.list != kT2)) {
-      return;
-    }
-    it->second.clock_pos->ref = true;
-  }
-
-  bool OnInsert(const std::string& key,
-                std::vector<std::string>* evicted) override {
-    auto it = index_.find(key);
-    const bool in_b1 = it != index_.end() && it->second.list == kB1;
-    const bool in_b2 = it != index_.end() && it->second.list == kB2;
-    if (t1_.size() + t2_.size() == c_) {
-      ReplaceClock(evicted);
-      // Ghost-directory bounding, exactly per the paper: only a miss on
-      // both directories discards ghost history, and the checks read the
-      // sizes *after* the replacement above.
-      if (!in_b1 && !in_b2) {
-        if (t1_.size() + b1_.size() == c_) {
-          DropGhostLru(b1_);
-        } else if (t1_.size() + t2_.size() + b1_.size() + b2_.size() ==
-                   2 * c_) {
-          DropGhostLru(b2_);
-        }
-      }
-    }
-    if (!in_b1 && !in_b2) {
-      t1_.push_back(ClockEntry{key, false});
-      index_[key] = Loc{kT1, std::prev(t1_.end()), {}};
-      return false;
-    }
-    if (in_b1) {
-      const size_t delta = std::max<size_t>(b2_.size() / b1_.size(), 1);
-      p_ = std::min(c_, p_ + delta);
+      head.ref = false;
+      auto it = index_.find(head.key);
+      t2_.splice(t2_.end(), t1_, t1_.begin());
+      it->second = Loc{kT2, std::prev(t2_.end()), {}};
     } else {
-      const size_t delta = std::max<size_t>(b1_.size() / b2_.size(), 1);
-      p_ = p_ > delta ? p_ - delta : 0;
-    }
-    (in_b1 ? b1_ : b2_).erase(it->second.ghost_pos);
-    t2_.push_back(ClockEntry{key, false});
-    it->second = Loc{kT2, std::prev(t2_.end()), {}};
-    return true;
-  }
-
-  void OnErase(const std::string& key) override {
-    auto it = index_.find(key);
-    if (it == index_.end() || (it->second.list != kT1 && it->second.list != kT2)) {
-      return;
-    }
-    (it->second.list == kT1 ? t1_ : t2_).erase(it->second.clock_pos);
-    index_.erase(it);
-  }
-
-  void Clear() override {
-    t1_.clear();
-    t2_.clear();
-    b1_.clear();
-    b2_.clear();
-    index_.clear();
-    p_ = 0;
-  }
-
-  size_t resident() const override { return t1_.size() + t2_.size(); }
-
-  CachePolicyStatus StatusNow() const override {
-    CachePolicyStatus s;
-    s.resident = resident();
-    s.capacity = c_;
-    s.t1 = t1_.size();
-    s.t2 = t2_.size();
-    s.b1 = b1_.size();
-    s.b2 = b2_.size();
-    s.p = p_;
-    return s;
-  }
-
-  CachePolicyKind kind() const override { return CachePolicyKind::kCar; }
-
- private:
-  struct ClockEntry {
-    std::string key;
-    bool ref = false;
-  };
-  enum ListId { kT1, kT2, kB1, kB2 };
-  struct Loc {
-    ListId list;
-    std::list<ClockEntry>::iterator clock_pos;  // kT1/kT2
-    std::list<std::string>::iterator ghost_pos;  // kB1/kB2
-  };
-
-  /// The paper's replace(): sweep the T1 or T2 clock (head = front) until a
-  /// 0-bit page surfaces, demoting it to the matching ghost list; 1-bit
-  /// pages are cleared and recirculated to T2's tail.
-  void ReplaceClock(std::vector<std::string>* evicted) {
-    for (;;) {
-      if (t1_.size() >= std::max<size_t>(p_, 1)) {
-        ClockEntry& head = t1_.front();
-        if (!head.ref) {
-          if (evicted != nullptr) evicted->push_back(head.key);
-          auto it = index_.find(head.key);
-          b1_.push_front(head.key);
-          it->second = Loc{kB1, {}, b1_.begin()};
-          t1_.pop_front();
-          return;
-        }
-        head.ref = false;
+      ClockEntry& head = t2_.front();
+      if (!head.ref) {
+        if (evicted != nullptr) evicted->push_back(head.key);
         auto it = index_.find(head.key);
-        t2_.splice(t2_.end(), t1_, t1_.begin());
-        it->second = Loc{kT2, std::prev(t2_.end()), {}};
-      } else {
-        ClockEntry& head = t2_.front();
-        if (!head.ref) {
-          if (evicted != nullptr) evicted->push_back(head.key);
-          auto it = index_.find(head.key);
-          b2_.push_front(head.key);
-          it->second = Loc{kB2, {}, b2_.begin()};
-          t2_.pop_front();
-          return;
-        }
-        head.ref = false;
-        auto it = index_.find(head.key);
-        t2_.splice(t2_.end(), t2_, t2_.begin());
-        it->second = Loc{kT2, std::prev(t2_.end()), {}};
+        b2_.push_front(head.key);
+        it->second = Loc{kB2, {}, b2_.begin()};
+        t2_.pop_front();
+        return;
       }
+      head.ref = false;
+      auto it = index_.find(head.key);
+      t2_.splice(t2_.end(), t2_, t2_.begin());
+      it->second = Loc{kT2, std::prev(t2_.end()), {}};
     }
   }
+}
 
-  void DropGhostLru(std::list<std::string>& ghosts) {
-    if (ghosts.empty()) return;
-    index_.erase(ghosts.back());
-    ghosts.pop_back();
-  }
-
-  size_t c_;
-  size_t p_ = 0;
-  std::list<ClockEntry> t1_, t2_;      // front = clock hand
-  std::list<std::string> b1_, b2_;     // front = MRU ghost
-  std::unordered_map<std::string, Loc> index_;
-};
-
-}  // namespace
-
-std::unique_ptr<CachePolicy> MakeCachePolicy(CachePolicyKind kind,
-                                             size_t capacity) {
-  switch (kind) {
-    case CachePolicyKind::kLru:
-      return std::make_unique<LruPolicy>(capacity);
-    case CachePolicyKind::kClock:
-      return std::make_unique<ClockPolicy>(capacity);
-    case CachePolicyKind::kArc:
-      return std::make_unique<ArcPolicy>(capacity);
-    case CachePolicyKind::kCar:
-      return std::make_unique<CarPolicy>(capacity);
-  }
-  return std::make_unique<LruPolicy>(capacity);
+void CarPolicy::DropGhostLru(std::list<std::string>& ghosts) {
+  if (ghosts.empty()) return;
+  index_.erase(ghosts.back());
+  ghosts.pop_back();
 }
 
 }  // namespace pqsda

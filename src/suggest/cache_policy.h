@@ -2,90 +2,92 @@
 #define PQSDA_SUGGEST_CACHE_POLICY_H_
 
 #include <cstddef>
-#include <memory>
+#include <list>
 #include <string>
+#include <unordered_map>
 #include <vector>
 
 namespace pqsda {
 
-/// Eviction policy of one SuggestionCache shard. LRU is the baseline the
-/// serving path shipped with; CLOCK approximates it with one reference bit
-/// per entry; ARC and CAR adapt the recency/frequency split online using
-/// ghost lists of recently evicted keys, which is what absorbs the
-/// scan-pollution pattern (a cold sweep through many one-shot queries) that
-/// flushes a plain LRU.
-enum class CachePolicyKind {
-  kLru,
-  kClock,
-  kArc,
-  kCar,
-};
-
-/// "lru" / "clock" / "arc" / "car".
-const char* CachePolicyName(CachePolicyKind kind);
-/// Parses a policy name (as accepted by --cache_policy=); false on an
-/// unknown name, leaving `out` untouched.
-bool ParseCachePolicy(const std::string& name, CachePolicyKind* out);
-
 /// Introspection snapshot of one policy instance, surfaced per cache on
-/// /statusz. The T1/T2/B1/B2 split and the adaptation target `p` are only
-/// meaningful for ARC/CAR; LRU/CLOCK report resident entries in t1.
+/// /statusz.
 struct CachePolicyStatus {
   size_t resident = 0;
   size_t capacity = 0;
-  size_t t1 = 0;  ///< recency-resident (ARC/CAR); all residents otherwise
-  size_t t2 = 0;  ///< frequency-resident (ARC/CAR)
-  size_t b1 = 0;  ///< recency ghost keys (ARC/CAR)
-  size_t b2 = 0;  ///< frequency ghost keys (ARC/CAR)
-  size_t p = 0;   ///< adaptation target for |T1| (ARC/CAR)
+  size_t t1 = 0;  ///< recency-resident
+  size_t t2 = 0;  ///< frequency-resident
+  size_t b1 = 0;  ///< recency ghost keys
+  size_t b2 = 0;  ///< frequency ghost keys
+  size_t p = 0;   ///< adaptation target for |T1|
 };
 
-/// Replacement bookkeeping for one cache shard: which keys are resident and
-/// which resident key gives way when the shard is full. The policy tracks
-/// keys only — values live in the owning shard's map — and is deliberately
-/// single-threaded: every call happens under the shard mutex.
+/// Replacement bookkeeping for one SuggestionCache shard: Bansal & Modha's
+/// CLOCK with Adaptive Replacement (CAR). T1/T2 are circular clocks (front =
+/// hand) with one reference bit per page, B1/B2 plain LRU ghost lists of
+/// recently evicted keys, p the T1 target. The ghost lists adapt the
+/// recency/frequency split online, which absorbs the scan-pollution pattern
+/// (a cold sweep through many one-shot queries) that flushes a plain LRU. A
+/// hit only sets the reference bit — no list movement.
 ///
-/// The contract the differential oracle (tests/cache_policy_test.cc)
-/// enforces against transparent reference models:
+/// The policy tracks keys only — values live in the owning shard's map —
+/// and is deliberately single-threaded: every call happens under the shard
+/// mutex. The contract the differential oracle (tests/cache_policy_test.cc)
+/// enforces against a transparent reference model:
 ///  - OnInsert admits a non-resident key, appending every key it evicted to
-///    `evicted` (at most one per call at steady state) and returning whether
-///    the key was found in a ghost list (an ARC/CAR "history hit"; always
-///    false for LRU/CLOCK).
-///  - OnHit updates recency/reference state of a resident key.
+///    `evicted` (at most one per call) and returning whether the key was
+///    found in a ghost list (a "history hit").
+///  - OnHit sets the reference bit of a resident key.
 ///  - OnErase removes a resident key out-of-band (invalidation); the freed
 ///    slot is reusable immediately and ghost lists are not consulted.
+///  - The directory stays within the paper's bounds after every call:
+///    |T1| + |B1| <= c and |T1| + |T2| + |B1| + |B2| <= 2c.
 ///  - Decisions are deterministic: same op sequence, same evictions, same
 ///    StatusNow(), regardless of platform.
-class CachePolicy {
+class CarPolicy {
  public:
-  virtual ~CachePolicy() = default;
+  /// `capacity` resident slots; 0 behaves as 1.
+  explicit CarPolicy(size_t capacity);
 
   /// A lookup hit on a resident key.
-  virtual void OnHit(const std::string& key) = 0;
+  void OnHit(const std::string& key);
 
   /// Admits `key` (must not be resident). Keys evicted to make room are
   /// appended to `evicted` (may be null). Returns true when the key hit a
   /// ghost list.
-  virtual bool OnInsert(const std::string& key,
-                        std::vector<std::string>* evicted) = 0;
+  bool OnInsert(const std::string& key, std::vector<std::string>* evicted);
 
   /// Removes a resident key; no-op when the key is not resident. Ghost
   /// state referring to the key is left untouched (it records history, not
   /// residency).
-  virtual void OnErase(const std::string& key) = 0;
+  void OnErase(const std::string& key);
 
   /// Drops all resident and ghost state.
-  virtual void Clear() = 0;
+  void Clear();
 
-  virtual size_t resident() const = 0;
-  virtual CachePolicyStatus StatusNow() const = 0;
-  virtual CachePolicyKind kind() const = 0;
+  size_t resident() const { return t1_.size() + t2_.size(); }
+  CachePolicyStatus StatusNow() const;
+
+ private:
+  struct ClockEntry {
+    std::string key;
+    bool ref = false;
+  };
+  enum ListId { kT1, kT2, kB1, kB2 };
+  struct Loc {
+    ListId list;
+    std::list<ClockEntry>::iterator clock_pos;   // kT1/kT2
+    std::list<std::string>::iterator ghost_pos;  // kB1/kB2
+  };
+
+  void ReplaceClock(std::vector<std::string>* evicted);
+  void DropGhostLru(std::list<std::string>& ghosts);
+
+  size_t c_;
+  size_t p_ = 0;
+  std::list<ClockEntry> t1_, t2_;   // front = clock hand
+  std::list<std::string> b1_, b2_;  // front = MRU ghost
+  std::unordered_map<std::string, Loc> index_;
 };
-
-/// Factory: one policy instance managing `capacity` resident slots
-/// (capacity 0 behaves as 1).
-std::unique_ptr<CachePolicy> MakeCachePolicy(CachePolicyKind kind,
-                                             size_t capacity);
 
 }  // namespace pqsda
 

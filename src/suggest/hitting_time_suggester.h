@@ -72,29 +72,6 @@ void BipartiteHittingTimeInto(const CsrMatrix& q2u, const CsrMatrix& u2q,
                               ThreadPool* pool, HittingTimeWorkspace& ws,
                               const CancelToken* cancel = nullptr);
 
-/// Truncated expected hitting time on a mixture of query-level chains
-/// (Eq. 17): M = sum_x weight[x] * chain[x], each chain row-stochastic (or
-/// sub-stochastic). Used by the cross-bipartite hitting time of §IV-C (three
-/// chains, uniform 1/3 weights) and by DQS (one chain). Out-of-range seeds
-/// are skipped unconditionally; `pool` parallelizes the row sweeps.
-std::vector<double> ChainHittingTime(const std::vector<const CsrMatrix*>& chains,
-                                     const std::vector<double>& weights,
-                                     const std::vector<uint32_t>& seeds,
-                                     size_t iterations,
-                                     ThreadPool* pool = nullptr);
-
-/// ChainHittingTime computing into `ws.h`, allocation-free when warm. A
-/// non-null `cancel` stops the sweep at iteration granularity (see
-/// BipartiteHittingTimeInto for the partial-result contract). This is the
-/// reference implementation (walks all chains per row per iteration); the
-/// serving path builds a MergedChain once and sweeps that instead.
-void ChainHittingTimeInto(const std::vector<const CsrMatrix*>& chains,
-                          const std::vector<double>& weights,
-                          const std::vector<uint32_t>& seeds,
-                          size_t iterations, ThreadPool* pool,
-                          HittingTimeWorkspace& ws,
-                          const CancelToken* cancel = nullptr);
-
 /// The mixture chain M = sum_x weights[x] chain[x] materialized once as
 /// packed CSR, with the per-row mass (row sum of M, the renormalizer for
 /// sub-stochastic rows) precomputed. Algorithm 1 runs K-1 selection rounds
@@ -103,9 +80,10 @@ void ChainHittingTimeInto(const std::vector<const CsrMatrix*>& chains,
 /// walks with a mass accumulation.
 ///
 /// Values merge per column in chain order, so M(i, j) groups the weighted
-/// terms differently than the reference's interleaved accumulation;
-/// results agree to ~1 ulp per entry (tolerance-gated in the
-/// kernel_equivalence suite, 1e-9 relative on hitting times).
+/// terms differently than the interleaved reference sweep
+/// (tests/reference/hitting_time.h); results agree to ~1 ulp per entry
+/// (tolerance-gated in the kernel_equivalence suite, 1e-9 relative on
+/// hitting times).
 struct MergedChain {
   PackedCsr m;
   AlignedVector<double> mass;
@@ -114,9 +92,12 @@ struct MergedChain {
 MergedChain BuildMergedChain(const std::vector<const CsrMatrix*>& chains,
                              const std::vector<double>& weights);
 
-/// ChainHittingTimeInto over a prebuilt MergedChain: same contract
-/// (seeds pinned to 0, dangling rows saturate at the horizon, cancel polled
-/// per iteration, result in `ws.h`). The sweeps run inline on the caller:
+/// Truncated expected hitting time to `seeds` over a prebuilt MergedChain
+/// (Eq. 17; §IV-C merges three chains with uniform 1/3 weights):
+/// seeds pinned to 0, rows without mass saturate at the horizon,
+/// out-of-range seeds skipped unconditionally, a non-null `cancel` polled
+/// per iteration (see BipartiteHittingTimeInto for the partial-result
+/// contract), result in `ws.h`. The sweeps run inline on the caller:
 /// at the compact size (Q ~ 400 rows, a few nonzeros each) a pool dispatch
 /// per sweep costs more than the sweep, and concurrent requests already
 /// occupy the cores. `pool` is accepted for call compatibility and ignored.

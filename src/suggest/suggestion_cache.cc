@@ -118,22 +118,21 @@ struct SuggestionCache::Shard {
     /// by validating Lookups (empty: nothing to grade, always valid).
     ValidationVector components;
   };
+  explicit Shard(size_t capacity) : policy(capacity) {}
   mutable std::mutex mu;
   std::unordered_map<std::string, Entry> index;
-  std::unique_ptr<CachePolicy> policy;
+  CarPolicy policy;
 };
 
 SuggestionCache::SuggestionCache(SuggestionCacheOptions options)
-    : policy_(options.policy), name_(std::move(options.name)) {
+    : name_(std::move(options.name)) {
   const size_t capacity = std::max<size_t>(options.capacity, 1);
   const size_t shards = std::min(std::max<size_t>(options.shards, 1), capacity);
   per_shard_capacity_ = (capacity + shards - 1) / shards;
   capacity_ = per_shard_capacity_ * shards;
   shards_.reserve(shards);
   for (size_t s = 0; s < shards; ++s) {
-    auto shard = std::make_unique<Shard>();
-    shard->policy = MakeCachePolicy(policy_, per_shard_capacity_);
-    shards_.push_back(std::move(shard));
+    shards_.push_back(std::make_unique<Shard>(per_shard_capacity_));
   }
   obs::MetricsRegistry::Default()
       .GetGauge("pqsda.cache.capacity")
@@ -193,7 +192,7 @@ bool SuggestionCache::Lookup(const CacheKey& key, std::vector<Suggestion>* out,
         // Some component the entry read has been rebuilt since. Erase it
         // now — keeping it would re-grade it on every probe and the entry
         // can never become valid again (generations only move forward).
-        shard.policy->OnErase(key.full);
+        shard.policy.OnErase(key.full);
         shard.index.erase(it);
         SizeGauge().Add(-1.0);
         StaleInvalidationsCounter().Increment();
@@ -209,7 +208,7 @@ bool SuggestionCache::Lookup(const CacheKey& key, std::vector<Suggestion>* out,
         return false;
     }
   }
-  shard.policy->OnHit(key.full);
+  shard.policy.OnHit(key.full);
   if (out != nullptr) *out = it->second.value;
   HitsCounter().Increment();
   return true;
@@ -228,11 +227,11 @@ void SuggestionCache::Insert(const CacheKey& key, std::vector<Suggestion> value,
   if (it != shard.index.end()) {
     it->second.value = std::move(value);
     it->second.components = std::move(components);
-    shard.policy->OnHit(key.full);
+    shard.policy.OnHit(key.full);
     return;
   }
   std::vector<std::string> evicted;
-  if (shard.policy->OnInsert(key.full, &evicted)) {
+  if (shard.policy.OnInsert(key.full, &evicted)) {
     GhostHitsCounter().Increment();
   }
   shard.index.emplace(key.full,
@@ -258,7 +257,7 @@ CachePolicyStatus SuggestionCache::PolicyStatus() const {
   total.capacity = capacity_;
   for (const auto& shard : shards_) {
     std::lock_guard<std::mutex> lock(shard->mu);
-    const CachePolicyStatus s = shard->policy->StatusNow();
+    const CachePolicyStatus s = shard->policy.StatusNow();
     total.resident += s.resident;
     total.t1 += s.t1;
     total.t2 += s.t2;
@@ -274,7 +273,7 @@ void SuggestionCache::Clear() {
     std::lock_guard<std::mutex> lock(shard->mu);
     SizeGauge().Add(-static_cast<double>(shard->index.size()));
     shard->index.clear();
-    shard->policy->Clear();
+    shard->policy.Clear();
   }
 }
 
@@ -288,8 +287,6 @@ std::string SuggestionCachesStatusJson() {
     first = false;
     json += "{\"name\": \"";
     json += cache->name();
-    json += "\", \"policy\": \"";
-    json += CachePolicyName(cache->policy());
     json += "\", \"capacity\": ";
     json += std::to_string(s.capacity);
     json += ", \"resident\": ";

@@ -21,13 +21,9 @@ namespace pqsda {
 struct SuggestionCacheOptions {
   /// Total entries across all shards; 0 behaves as 1.
   size_t capacity = 4096;
-  /// Independent shards, each with its own mutex and its own policy
-  /// instance, so concurrent SuggestBatch workers rarely contend; 0 behaves
-  /// as 1.
+  /// Independent shards, each with its own mutex and its own CarPolicy,
+  /// so concurrent SuggestBatch workers rarely contend; 0 behaves as 1.
   size_t shards = 8;
-  /// Replacement policy of each shard (see CachePolicyKind). LRU is the
-  /// baseline; ARC/CAR adapt against scan pollution.
-  CachePolicyKind policy = CachePolicyKind::kLru;
   /// Instance name on /statusz.
   std::string name = "suggest";
 };
@@ -148,11 +144,9 @@ class SuggestionCache {
   /// as the `pqsda.cache.capacity` gauge so /statusz can report occupancy.
   size_t capacity() const { return capacity_; }
 
-  CachePolicyKind policy() const { return policy_; }
   const std::string& name() const { return name_; }
 
-  /// Aggregated policy introspection across shards (T1/T2/B1/B2/p summed;
-  /// only meaningful for ARC/CAR).
+  /// Aggregated CAR introspection across shards (T1/T2/B1/B2/p summed).
   CachePolicyStatus PolicyStatus() const;
 
   /// Drops every entry and all policy ghost state (counters untouched).
@@ -165,13 +159,12 @@ class SuggestionCache {
 
   size_t per_shard_capacity_;
   size_t capacity_;
-  CachePolicyKind policy_;
   std::string name_;
   std::vector<std::unique_ptr<Shard>> shards_;
 };
 
-/// JSON array describing every live SuggestionCache (name, policy,
-/// occupancy, ARC/CAR list sizes), embedded in /statusz's "caches" field.
+/// JSON array describing every live SuggestionCache (name, occupancy, CAR
+/// list sizes), embedded in /statusz's "caches" field.
 std::string SuggestionCachesStatusJson();
 
 /// Bounded cache of *negative* results: request keys the engine answered

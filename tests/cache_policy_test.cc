@@ -1,17 +1,17 @@
 // The adaptive-cache acceptance suite: a model-checked policy-and-staleness
 // oracle in four clusters.
 //
-//  1. Differential policy oracle: every CachePolicy (LRU, CLOCK, ARC, CAR)
-//     is driven through randomized op traces — Zipf, uniform, scan, loop
-//     mixes with out-of-band erases and clears, across a capacity matrix —
-//     in lockstep with a transparent reference model transcribed
-//     independently from the published pseudocode (ARC: Megiddo & Modha;
-//     CAR: Bansal & Modha). Every externally observable decision must be
-//     identical: hit/miss, the evicted keys, the ghost-hit verdict, the
-//     resident count and the full StatusNow() introspection.
-//  2. SuggestionCache composition: the sharded cache over any policy and
-//     shard count must equal the composition of per-shard reference models
-//     routed by the same key hash, for hits, misses and total size.
+//  1. Differential policy oracle: the CAR policy is driven through
+//     randomized op traces — Zipf, uniform, scan, loop mixes with
+//     out-of-band erases and clears, across a capacity matrix — in lockstep
+//     with a transparent reference model transcribed independently from
+//     Bansal & Modha's pseudocode. Every externally observable decision
+//     must be identical: hit/miss, the evicted keys, the ghost-hit verdict,
+//     the resident count and the full StatusNow() introspection; and the
+//     directory must stay within the paper's bounds after every op.
+//  2. SuggestionCache composition: the sharded cache over any shard count
+//     must equal the composition of per-shard reference models routed by
+//     the same key hash, for hits, misses and total size.
 //  3. Validation semantics: the tri-state CacheValidity contract — kValid
 //     serves, kStale erases exactly once, kMismatch (mid-swap: entry newer
 //     than the reader's pinned snapshot) misses but stays resident — for
@@ -72,17 +72,6 @@ struct RefDecision {
   std::vector<std::string> evicted;
 };
 
-class RefPolicy {
- public:
-  virtual ~RefPolicy() = default;
-  virtual RefDecision Access(const std::string& key) = 0;
-  virtual void Erase(const std::string& key) = 0;
-  virtual void Clear() = 0;
-  virtual bool IsResident(const std::string& key) const = 0;
-  virtual size_t Resident() const = 0;
-  virtual CachePolicyStatus StatusNow() const = 0;
-};
-
 bool Contains(const std::vector<std::string>& v, const std::string& key) {
   return std::find(v.begin(), v.end(), key) != v.end();
 }
@@ -91,38 +80,19 @@ void Remove(std::vector<std::string>* v, const std::string& key) {
   v->erase(std::remove(v->begin(), v->end(), key), v->end());
 }
 
-class RefLru : public RefPolicy {
+// Plain LRU: the baseline CAR must match or beat under scan pollution
+// (CarAbsorbsScanPollution). Only hit/miss is observed.
+class RefLru {
  public:
   explicit RefLru(size_t cap) : cap_(std::max<size_t>(cap, 1)) {}
 
-  RefDecision Access(const std::string& key) override {
-    RefDecision d;
-    if (Contains(mru_, key)) {
-      d.hit = true;
-      Remove(&mru_, key);
-      mru_.insert(mru_.begin(), key);
-      return d;
-    }
+  // Whether `key` was resident; admits or refreshes it as MRU either way.
+  bool Access(const std::string& key) {
+    const bool hit = Contains(mru_, key);
+    Remove(&mru_, key);
     mru_.insert(mru_.begin(), key);
-    while (mru_.size() > cap_) {
-      d.evicted.push_back(mru_.back());
-      mru_.pop_back();
-    }
-    return d;
-  }
-
-  void Erase(const std::string& key) override { Remove(&mru_, key); }
-  void Clear() override { mru_.clear(); }
-  bool IsResident(const std::string& key) const override {
-    return Contains(mru_, key);
-  }
-  size_t Resident() const override { return mru_.size(); }
-  CachePolicyStatus StatusNow() const override {
-    CachePolicyStatus s;
-    s.resident = mru_.size();
-    s.capacity = cap_;
-    s.t1 = mru_.size();
-    return s;
+    if (mru_.size() > cap_) mru_.pop_back();
+    return hit;
   }
 
  private:
@@ -130,203 +100,14 @@ class RefLru : public RefPolicy {
   std::vector<std::string> mru_;  // front = MRU
 };
 
-// CLOCK with the deterministic free-slot rule the production header
-// documents: a free slot is the lowest unused index (the hand does not
-// move), a full cache sweeps the hand clearing reference bits until a 0-bit
-// victim surfaces and parks one past it, and an erase clears the slot in
-// place.
-class RefClock : public RefPolicy {
- public:
-  explicit RefClock(size_t cap)
-      : cap_(std::max<size_t>(cap, 1)), keys_(cap_), ref_(cap_), used_(cap_) {}
-
-  RefDecision Access(const std::string& key) override {
-    RefDecision d;
-    for (size_t s = 0; s < cap_; ++s) {
-      if (used_[s] && keys_[s] == key) {
-        d.hit = true;
-        ref_[s] = true;
-        return d;
-      }
-    }
-    for (size_t s = 0; s < cap_; ++s) {
-      if (!used_[s]) {
-        keys_[s] = key;
-        ref_[s] = false;
-        used_[s] = true;
-        return d;
-      }
-    }
-    while (ref_[hand_]) {
-      ref_[hand_] = false;
-      hand_ = (hand_ + 1) % cap_;
-    }
-    d.evicted.push_back(keys_[hand_]);
-    keys_[hand_] = key;
-    ref_[hand_] = false;
-    hand_ = (hand_ + 1) % cap_;
-    return d;
-  }
-
-  void Erase(const std::string& key) override {
-    for (size_t s = 0; s < cap_; ++s) {
-      if (used_[s] && keys_[s] == key) {
-        used_[s] = false;
-        ref_[s] = false;
-        keys_[s].clear();
-        return;
-      }
-    }
-  }
-
-  void Clear() override {
-    std::fill(used_.begin(), used_.end(), false);
-    std::fill(ref_.begin(), ref_.end(), false);
-    hand_ = 0;
-  }
-
-  bool IsResident(const std::string& key) const override {
-    for (size_t s = 0; s < cap_; ++s) {
-      if (used_[s] && keys_[s] == key) return true;
-    }
-    return false;
-  }
-
-  size_t Resident() const override {
-    size_t n = 0;
-    for (size_t s = 0; s < cap_; ++s) n += used_[s] ? 1 : 0;
-    return n;
-  }
-
-  CachePolicyStatus StatusNow() const override {
-    CachePolicyStatus s;
-    s.resident = Resident();
-    s.capacity = cap_;
-    s.t1 = s.resident;
-    return s;
-  }
-
- private:
-  size_t cap_;
-  std::vector<std::string> keys_;
-  std::vector<bool> ref_;
-  std::vector<bool> used_;
-  size_t hand_ = 0;
-};
-
-// ARC, transcribed case by case from Megiddo & Modha's Figure 4. Lists are
-// vectors with front = MRU; REPLACE demotes a resident LRU page to the head
-// of its ghost list.
-class RefArc : public RefPolicy {
- public:
-  explicit RefArc(size_t cap) : c_(std::max<size_t>(cap, 1)) {}
-
-  RefDecision Access(const std::string& key) override {
-    RefDecision d;
-    if (Contains(t1_, key) || Contains(t2_, key)) {
-      // Case I: cache hit — promote to MRU of T2.
-      d.hit = true;
-      Remove(&t1_, key);
-      Remove(&t2_, key);
-      t2_.insert(t2_.begin(), key);
-      return d;
-    }
-    if (Contains(b1_, key)) {
-      // Case II: history hit in B1 — grow the recency target.
-      const size_t delta = std::max<size_t>(b2_.size() / b1_.size(), 1);
-      p_ = std::min(c_, p_ + delta);
-      Replace(/*in_b2=*/false, &d.evicted);
-      Remove(&b1_, key);
-      t2_.insert(t2_.begin(), key);
-      d.ghost_hit = true;
-      return d;
-    }
-    if (Contains(b2_, key)) {
-      // Case III: history hit in B2 — shrink the recency target.
-      const size_t delta = std::max<size_t>(b1_.size() / b2_.size(), 1);
-      p_ = p_ > delta ? p_ - delta : 0;
-      Replace(/*in_b2=*/true, &d.evicted);
-      Remove(&b2_, key);
-      t2_.insert(t2_.begin(), key);
-      d.ghost_hit = true;
-      return d;
-    }
-    // Case IV: a completely new key.
-    const size_t l1 = t1_.size() + b1_.size();
-    if (l1 == c_) {
-      if (t1_.size() < c_) {
-        b1_.pop_back();
-        Replace(/*in_b2=*/false, &d.evicted);
-      } else {
-        d.evicted.push_back(t1_.back());
-        t1_.pop_back();
-      }
-    } else if (l1 < c_) {
-      const size_t total = t1_.size() + t2_.size() + b1_.size() + b2_.size();
-      if (total >= c_) {
-        if (total == 2 * c_) b2_.pop_back();
-        Replace(/*in_b2=*/false, &d.evicted);
-      }
-    }
-    t1_.insert(t1_.begin(), key);
-    return d;
-  }
-
-  void Erase(const std::string& key) override {
-    Remove(&t1_, key);
-    Remove(&t2_, key);
-  }
-
-  void Clear() override {
-    t1_.clear();
-    t2_.clear();
-    b1_.clear();
-    b2_.clear();
-    p_ = 0;
-  }
-
-  bool IsResident(const std::string& key) const override {
-    return Contains(t1_, key) || Contains(t2_, key);
-  }
-  size_t Resident() const override { return t1_.size() + t2_.size(); }
-  CachePolicyStatus StatusNow() const override {
-    CachePolicyStatus s;
-    s.resident = Resident();
-    s.capacity = c_;
-    s.t1 = t1_.size();
-    s.t2 = t2_.size();
-    s.b1 = b1_.size();
-    s.b2 = b2_.size();
-    s.p = p_;
-    return s;
-  }
-
- private:
-  void Replace(bool in_b2, std::vector<std::string>* evicted) {
-    if (!t1_.empty() && ((in_b2 && t1_.size() == p_) || t1_.size() > p_)) {
-      evicted->push_back(t1_.back());
-      b1_.insert(b1_.begin(), t1_.back());
-      t1_.pop_back();
-    } else if (!t2_.empty()) {
-      evicted->push_back(t2_.back());
-      b2_.insert(b2_.begin(), t2_.back());
-      t2_.pop_back();
-    }
-  }
-
-  size_t c_;
-  size_t p_ = 0;
-  std::vector<std::string> t1_, t2_, b1_, b2_;  // front = MRU / ghost head
-};
-
 // CAR, transcribed from Bansal & Modha's Figure 2. T1/T2 are circular
 // buffers modeled as vectors with index 0 = the clock hand and push at the
 // tail; B1/B2 are ghost lists with front = most recent.
-class RefCar : public RefPolicy {
+class RefCar {
  public:
   explicit RefCar(size_t cap) : c_(std::max<size_t>(cap, 1)) {}
 
-  RefDecision Access(const std::string& key) override {
+  RefDecision Access(const std::string& key) {
     RefDecision d;
     if (FindClock(t1_, key) >= 0 || FindClock(t2_, key) >= 0) {
       d.hit = true;
@@ -335,18 +116,18 @@ class RefCar : public RefPolicy {
     }
     const bool in_b1 = Contains(b1_, key);
     const bool in_b2 = Contains(b2_, key);
-    if (t1_.size() + t2_.size() == c_) {
-      ReplaceClock(&d.evicted);
-      if (!in_b1 && !in_b2) {
-        if (t1_.size() + b1_.size() == c_) {
-          if (!b1_.empty()) b1_.pop_back();
-        } else if (t1_.size() + t2_.size() + b1_.size() + b2_.size() ==
-                   2 * c_) {
-          if (!b2_.empty()) b2_.pop_back();
-        }
-      }
-    }
+    if (t1_.size() + t2_.size() == c_) ReplaceClock(&d.evicted);
     if (!in_b1 && !in_b2) {
+      // The paper's history replacement, but on every such miss rather
+      // than only after a replacement: an Erase leaves room, the next miss
+      // skips replace(), and the directory may already sit at
+      // |T1| + |B1| = c or at 2c keys in all.
+      if (t1_.size() + b1_.size() >= c_) {
+        if (!b1_.empty()) b1_.pop_back();
+      } else if (t1_.size() + t2_.size() + b1_.size() + b2_.size() >=
+                 2 * c_) {
+        if (!b2_.empty()) b2_.pop_back();
+      }
       t1_.push_back({key, false});
       return d;
     }
@@ -364,14 +145,14 @@ class RefCar : public RefPolicy {
     return d;
   }
 
-  void Erase(const std::string& key) override {
+  void Erase(const std::string& key) {
     const int i1 = FindClock(t1_, key);
     if (i1 >= 0) t1_.erase(t1_.begin() + i1);
     const int i2 = FindClock(t2_, key);
     if (i2 >= 0) t2_.erase(t2_.begin() + i2);
   }
 
-  void Clear() override {
+  void Clear() {
     t1_.clear();
     t2_.clear();
     b1_.clear();
@@ -379,11 +160,11 @@ class RefCar : public RefPolicy {
     p_ = 0;
   }
 
-  bool IsResident(const std::string& key) const override {
+  bool IsResident(const std::string& key) const {
     return FindClock(t1_, key) >= 0 || FindClock(t2_, key) >= 0;
   }
-  size_t Resident() const override { return t1_.size() + t2_.size(); }
-  CachePolicyStatus StatusNow() const override {
+  size_t Resident() const { return t1_.size() + t2_.size(); }
+  CachePolicyStatus StatusNow() const {
     CachePolicyStatus s;
     s.resident = Resident();
     s.capacity = c_;
@@ -450,20 +231,6 @@ class RefCar : public RefPolicy {
   std::vector<std::string> b1_, b2_;
 };
 
-std::unique_ptr<RefPolicy> MakeRefPolicy(CachePolicyKind kind, size_t cap) {
-  switch (kind) {
-    case CachePolicyKind::kLru:
-      return std::make_unique<RefLru>(cap);
-    case CachePolicyKind::kClock:
-      return std::make_unique<RefClock>(cap);
-    case CachePolicyKind::kArc:
-      return std::make_unique<RefArc>(cap);
-    case CachePolicyKind::kCar:
-      return std::make_unique<RefCar>(cap);
-  }
-  return nullptr;
-}
-
 // --------------------------------------------------------------- traces ----
 
 struct TraceOp {
@@ -497,7 +264,7 @@ std::vector<TraceOp> MakeTrace(std::mt19937* rng, size_t ops, size_t key_space,
       trace.push_back(op);
       continue;
     }
-    size_t key;
+    size_t key = 0;
     switch (pattern) {
       case TracePattern::kUniform:
         key = uniform(*rng);
@@ -507,7 +274,7 @@ std::vector<TraceOp> MakeTrace(std::mt19937* rng, size_t ops, size_t key_space,
         break;
       case TracePattern::kScan:
         // Zipf head with periodic cold sweeps — the pattern that flushes a
-        // plain LRU and that ARC/CAR's ghost lists absorb.
+        // plain LRU and that CAR's ghost lists absorb.
         if (i % 4 == 3) {
           key = key_space + (scan_next++ % (4 * key_space));
         } else {
@@ -537,40 +304,37 @@ int OracleSeed() {
 // lockstep, comparing every observable decision. Residency of the
 // production policy is tracked externally from its own OnInsert/evicted
 // answers — exactly what the owning cache shard does.
-void RunDifferential(CachePolicyKind kind, size_t capacity,
-                     const std::vector<TraceOp>& trace) {
-  std::unique_ptr<CachePolicy> policy = MakeCachePolicy(kind, capacity);
-  std::unique_ptr<RefPolicy> ref = MakeRefPolicy(kind, capacity);
-  ASSERT_NE(policy, nullptr);
-  ASSERT_NE(ref, nullptr);
+void RunDifferential(size_t capacity, const std::vector<TraceOp>& trace) {
+  CarPolicy policy(capacity);
+  RefCar ref(capacity);
   std::set<std::string> resident;
   for (size_t i = 0; i < trace.size(); ++i) {
     const TraceOp& op = trace[i];
     SCOPED_TRACE("op " + std::to_string(i) + " key " + op.key);
     switch (op.kind) {
       case TraceOp::kClear:
-        policy->Clear();
-        ref->Clear();
+        policy.Clear();
+        ref.Clear();
         resident.clear();
         break;
       case TraceOp::kErase:
-        policy->OnErase(op.key);
-        ref->Erase(op.key);
+        policy.OnErase(op.key);
+        ref.Erase(op.key);
         resident.erase(op.key);
         break;
       case TraceOp::kAccess: {
-        const bool ref_hit = ref->IsResident(op.key);
+        const bool ref_hit = ref.IsResident(op.key);
         const bool pol_hit = resident.count(op.key) > 0;
         ASSERT_EQ(pol_hit, ref_hit);
         if (ref_hit) {
-          policy->OnHit(op.key);
-          RefDecision d = ref->Access(op.key);
+          policy.OnHit(op.key);
+          RefDecision d = ref.Access(op.key);
           ASSERT_TRUE(d.hit);
           break;
         }
         std::vector<std::string> evicted;
-        const bool ghost = policy->OnInsert(op.key, &evicted);
-        RefDecision d = ref->Access(op.key);
+        const bool ghost = policy.OnInsert(op.key, &evicted);
+        RefDecision d = ref.Access(op.key);
         ASSERT_FALSE(d.hit);
         ASSERT_EQ(ghost, d.ghost_hit);
         ASSERT_EQ(evicted, d.evicted);
@@ -579,11 +343,16 @@ void RunDifferential(CachePolicyKind kind, size_t capacity,
         break;
       }
     }
-    ASSERT_EQ(policy->resident(), ref->Resident());
-    ASSERT_EQ(policy->resident(), resident.size());
+    ASSERT_EQ(policy.resident(), ref.Resident());
+    ASSERT_EQ(policy.resident(), resident.size());
+    // The CAR paper's directory bounds, read from the policy's own
+    // introspection after every op: |T1| + |B1| <= c and
+    // |T1| + |T2| + |B1| + |B2| <= 2c.
+    const CachePolicyStatus got = policy.StatusNow();
+    ASSERT_LE(got.t1 + got.b1, got.capacity);
+    ASSERT_LE(got.t1 + got.t2 + got.b1 + got.b2, 2 * got.capacity);
     if (i % 64 == 0 || i + 1 == trace.size()) {
-      const CachePolicyStatus got = policy->StatusNow();
-      const CachePolicyStatus want = ref->StatusNow();
+      const CachePolicyStatus want = ref.StatusNow();
       ASSERT_EQ(got.resident, want.resident);
       ASSERT_EQ(got.capacity, want.capacity);
       ASSERT_EQ(got.t1, want.t1);
@@ -598,105 +367,107 @@ void RunDifferential(CachePolicyKind kind, size_t capacity,
 TEST(CachePolicyOracleTest, DifferentialAgainstReferenceModels) {
   const int seed = OracleSeed();
   SCOPED_TRACE("gtest_random_seed " + std::to_string(seed));
-  const CachePolicyKind kinds[] = {CachePolicyKind::kLru,
-                                   CachePolicyKind::kClock,
-                                   CachePolicyKind::kArc,
-                                   CachePolicyKind::kCar};
   const size_t capacities[] = {1, 2, 3, 4, 7, 16, 64};
   const TracePattern patterns[] = {TracePattern::kUniform, TracePattern::kZipf,
                                    TracePattern::kScan,
                                    TracePattern::kHotLoop};
-  for (CachePolicyKind kind : kinds) {
-    for (size_t capacity : capacities) {
-      for (TracePattern pattern : patterns) {
-        SCOPED_TRACE(std::string(CachePolicyName(kind)) + " capacity " +
-                     std::to_string(capacity) + " pattern " +
-                     std::to_string(static_cast<int>(pattern)));
-        // Key space a small multiple of capacity keeps ghost lists and
-        // eviction pressure active; an independent stream per cell.
-        std::mt19937 rng(static_cast<uint32_t>(seed) * 2654435761u +
-                         static_cast<uint32_t>(capacity) * 97u +
-                         static_cast<uint32_t>(kind) * 13u +
-                         static_cast<uint32_t>(pattern));
-        const size_t key_space = std::max<size_t>(3 * capacity, 6);
-        RunDifferential(kind, capacity,
-                        MakeTrace(&rng, 1500, key_space, capacity, pattern));
-      }
+  for (size_t capacity : capacities) {
+    for (TracePattern pattern : patterns) {
+      SCOPED_TRACE("capacity " + std::to_string(capacity) + " pattern " +
+                   std::to_string(static_cast<int>(pattern)));
+      // Key space a small multiple of capacity keeps ghost lists and
+      // eviction pressure active; an independent stream per cell.
+      std::mt19937 rng(static_cast<uint32_t>(seed) * 2654435761u +
+                       static_cast<uint32_t>(capacity) * 97u +
+                       static_cast<uint32_t>(pattern));
+      const size_t key_space = std::max<size_t>(3 * capacity, 6);
+      RunDifferential(capacity,
+                      MakeTrace(&rng, 1500, key_space, capacity, pattern));
     }
   }
 }
 
-TEST(CachePolicyOracleTest, NamesParseAndRoundTrip) {
-  const CachePolicyKind kinds[] = {CachePolicyKind::kLru,
-                                   CachePolicyKind::kClock,
-                                   CachePolicyKind::kArc,
-                                   CachePolicyKind::kCar};
-  for (CachePolicyKind kind : kinds) {
-    CachePolicyKind parsed = CachePolicyKind::kLru;
-    ASSERT_TRUE(ParseCachePolicy(CachePolicyName(kind), &parsed));
-    EXPECT_EQ(parsed, kind);
-    EXPECT_EQ(MakeCachePolicy(kind, 4)->kind(), kind);
-  }
-  CachePolicyKind untouched = CachePolicyKind::kCar;
-  EXPECT_FALSE(ParseCachePolicy("mru", &untouched));
-  EXPECT_EQ(untouched, CachePolicyKind::kCar);
-}
-
-TEST(CachePolicyOracleTest, ArcReportsGhostHits) {
-  auto arc = MakeCachePolicy(CachePolicyKind::kArc, 2);
+TEST(CachePolicyOracleTest, CarReportsGhostHits) {
+  CarPolicy car(2);
   std::vector<std::string> evicted;
-  EXPECT_FALSE(arc->OnInsert("a", &evicted));
-  EXPECT_FALSE(arc->OnInsert("b", &evicted));
+  EXPECT_FALSE(car.OnInsert("a", &evicted));
+  EXPECT_FALSE(car.OnInsert("b", &evicted));
   EXPECT_TRUE(evicted.empty());
-  arc->OnHit("b");  // b moves to T2; a is T1's LRU
-  EXPECT_FALSE(arc->OnInsert("c", &evicted));
-  ASSERT_EQ(evicted, std::vector<std::string>{"a"});  // a demoted to B1
+  car.OnHit("a");  // both referenced: the next sweep recirculates them to T2
+  car.OnHit("b");
+  EXPECT_FALSE(car.OnInsert("c", &evicted));
+  ASSERT_EQ(evicted, std::vector<std::string>{"a"});  // a demoted to B2
   evicted.clear();
-  EXPECT_TRUE(arc->OnInsert("a", &evicted));  // history hit in B1
+  EXPECT_TRUE(car.OnInsert("a", &evicted));  // history hit in B2
+  ASSERT_EQ(evicted, std::vector<std::string>{"c"});  // c demoted to B1
+  evicted.clear();
+  EXPECT_TRUE(car.OnInsert("c", &evicted));  // history hit in B1
   EXPECT_EQ(evicted, std::vector<std::string>{"b"});
-  EXPECT_GE(arc->StatusNow().p, 1u);  // the hit grew the recency target
+  EXPECT_EQ(car.StatusNow().p, 1u);  // the B1 hit grew the recency target
 }
 
-TEST(CachePolicyOracleTest, ClockGrantsSecondChance) {
-  auto clock = MakeCachePolicy(CachePolicyKind::kClock, 2);
-  ASSERT_FALSE(clock->OnInsert("a", nullptr));
-  ASSERT_FALSE(clock->OnInsert("b", nullptr));
-  clock->OnHit("a");  // a's reference bit protects it from the next sweep
+TEST(CachePolicyOracleTest, CarGrantsSecondChance) {
+  CarPolicy car(2);
+  ASSERT_FALSE(car.OnInsert("a", nullptr));
+  ASSERT_FALSE(car.OnInsert("b", nullptr));
+  car.OnHit("a");  // a's reference bit protects it from the next sweep
   std::vector<std::string> evicted;
-  ASSERT_FALSE(clock->OnInsert("c", &evicted));
+  ASSERT_FALSE(car.OnInsert("c", &evicted));
   EXPECT_EQ(evicted, std::vector<std::string>{"b"});
 }
 
-// The adaptive policies' reason to exist: on a Zipf head polluted by cold
-// scans, ARC and CAR must not do worse than LRU (they park scan traffic in
-// T1 and protect the re-referenced head in T2).
-TEST(CachePolicyOracleTest, AdaptivePoliciesAbsorbScanPollution) {
+// An out-of-band erase frees a slot without touching the ghost lists, so
+// the next miss skips the replacement. The directory must keep its bounds
+// anyway: with the paper's checks run only after a replacement, this
+// stream grows B1 by one key per miss without limit.
+TEST(CachePolicyOracleTest, CarGhostListsStayBoundedAfterErase) {
+  CarPolicy car(2);
+  car.OnInsert("w", nullptr);
+  car.OnHit("w");
+  car.OnInsert("z", nullptr);
+  std::vector<std::string> evicted;
+  car.OnInsert("x", &evicted);  // w recirculates to T2, z is demoted to B1
+  ASSERT_EQ(evicted, std::vector<std::string>{"z"});
+  CachePolicyStatus s = car.StatusNow();
+  ASSERT_EQ(s.t1 + s.b1, 2u);  // |T1| + |B1| = c
+  ASSERT_EQ(s.t2, 1u);
+  car.OnErase("w");
+  for (int i = 0; i < 1000; ++i) {
+    car.OnInsert("m" + std::to_string(i), nullptr);
+    s = car.StatusNow();
+    ASSERT_LE(s.t1 + s.b1, 2u) << "miss " << i;
+    ASSERT_LE(s.t1 + s.t2 + s.b1 + s.b2, 4u) << "miss " << i;
+  }
+}
+
+// CAR's reason to exist: on a Zipf head polluted by cold scans it must not
+// do worse than LRU (it parks scan traffic in T1 and protects the
+// re-referenced head in T2).
+TEST(CachePolicyOracleTest, CarAbsorbsScanPollution) {
   const int seed = OracleSeed();
   std::mt19937 rng(static_cast<uint32_t>(seed) + 7u);
   const size_t capacity = 16;
   const auto trace =
       MakeTrace(&rng, 4000, /*key_space=*/24, capacity, TracePattern::kScan);
-  auto hits_of = [&trace, capacity](CachePolicyKind kind) {
-    auto policy = MakeCachePolicy(kind, capacity);
-    std::set<std::string> resident;
-    size_t hits = 0;
-    for (const TraceOp& op : trace) {
-      if (op.kind != TraceOp::kAccess) continue;  // pure access stream
-      if (resident.count(op.key) > 0) {
-        ++hits;
-        policy->OnHit(op.key);
-        continue;
-      }
-      std::vector<std::string> evicted;
-      policy->OnInsert(op.key, &evicted);
-      resident.insert(op.key);
-      for (const std::string& victim : evicted) resident.erase(victim);
+  CarPolicy car(capacity);
+  RefLru lru(capacity);
+  std::set<std::string> resident;
+  size_t car_hits = 0;
+  size_t lru_hits = 0;
+  for (const TraceOp& op : trace) {
+    if (op.kind != TraceOp::kAccess) continue;  // pure access stream
+    if (lru.Access(op.key)) ++lru_hits;
+    if (resident.count(op.key) > 0) {
+      ++car_hits;
+      car.OnHit(op.key);
+      continue;
     }
-    return hits;
-  };
-  const size_t lru = hits_of(CachePolicyKind::kLru);
-  EXPECT_GE(hits_of(CachePolicyKind::kArc), lru);
-  EXPECT_GE(hits_of(CachePolicyKind::kCar), lru);
+    std::vector<std::string> evicted;
+    car.OnInsert(op.key, &evicted);
+    resident.insert(op.key);
+    for (const std::string& victim : evicted) resident.erase(victim);
+  }
+  EXPECT_GE(car_hits, lru_hits);
 }
 
 // =========================================================== composition ====
@@ -706,75 +477,63 @@ std::vector<Suggestion> ListFor(const std::string& key) {
 }
 
 // The sharded cache must equal the composition of per-shard reference
-// policies routed by the same key hash, for every policy and shard count.
+// policies routed by the same key hash, for every shard count.
 TEST(SuggestionCacheShardingOracleTest, MatchesPerShardReferenceComposition) {
   const int seed = OracleSeed();
-  const CachePolicyKind kinds[] = {CachePolicyKind::kLru,
-                                   CachePolicyKind::kClock,
-                                   CachePolicyKind::kArc,
-                                   CachePolicyKind::kCar};
-  for (CachePolicyKind kind : kinds) {
-    for (size_t shards : {1u, 2u, 3u, 8u}) {
-      SCOPED_TRACE(std::string(CachePolicyName(kind)) + " shards " +
-                   std::to_string(shards));
-      const size_t capacity = 24;
-      SuggestionCacheOptions options;
-      options.capacity = capacity;
-      options.shards = shards;
-      options.policy = kind;
-      options.name = "oracle";
-      SuggestionCache cache(options);
-      // Production rounds the budget up to shards * ceil(capacity/shards).
-      const size_t per_shard = (capacity + shards - 1) / shards;
-      ASSERT_EQ(cache.capacity(), per_shard * shards);
-      std::vector<std::unique_ptr<RefPolicy>> ref;
-      for (size_t s = 0; s < shards; ++s) {
-        ref.push_back(MakeRefPolicy(kind, per_shard));
+  for (size_t shards : {1u, 2u, 3u, 8u}) {
+    SCOPED_TRACE("shards " + std::to_string(shards));
+    const size_t capacity = 24;
+    SuggestionCacheOptions options;
+    options.capacity = capacity;
+    options.shards = shards;
+    options.name = "oracle";
+    SuggestionCache cache(options);
+    // Production rounds the budget up to shards * ceil(capacity/shards).
+    const size_t per_shard = (capacity + shards - 1) / shards;
+    ASSERT_EQ(cache.capacity(), per_shard * shards);
+    std::vector<RefCar> ref(shards, RefCar(per_shard));
+    std::mt19937 rng(static_cast<uint32_t>(seed) * 31u +
+                     static_cast<uint32_t>(shards));
+    const auto trace = MakeTrace(&rng, 1200, /*key_space=*/64, capacity,
+                                 TracePattern::kZipf);
+    for (size_t i = 0; i < trace.size(); ++i) {
+      const TraceOp& op = trace[i];
+      if (op.kind != TraceOp::kAccess) continue;
+      SCOPED_TRACE("op " + std::to_string(i) + " key " + op.key);
+      const SuggestionCache::CacheKey key(op.key);
+      RefCar& shard_ref = ref[key.hash % shards];
+      std::vector<Suggestion> out;
+      const bool hit = cache.Lookup(key, &out);
+      const RefDecision d = shard_ref.Access(op.key);
+      ASSERT_EQ(hit, d.hit);
+      if (hit) {
+        // A hit returns exactly the inserted list.
+        ASSERT_EQ(out, ListFor(op.key));
+      } else {
+        cache.Insert(key, ListFor(op.key));
       }
-      std::mt19937 rng(static_cast<uint32_t>(seed) * 31u +
-                       static_cast<uint32_t>(kind) * 5u +
-                       static_cast<uint32_t>(shards));
-      const auto trace = MakeTrace(&rng, 1200, /*key_space=*/64, capacity,
-                                   TracePattern::kZipf);
-      for (size_t i = 0; i < trace.size(); ++i) {
-        const TraceOp& op = trace[i];
-        if (op.kind != TraceOp::kAccess) continue;
-        SCOPED_TRACE("op " + std::to_string(i) + " key " + op.key);
-        const SuggestionCache::CacheKey key(op.key);
-        RefPolicy& shard_ref = *ref[key.hash % shards];
-        std::vector<Suggestion> out;
-        const bool hit = cache.Lookup(key, &out);
-        const RefDecision d = shard_ref.Access(op.key);
-        ASSERT_EQ(hit, d.hit);
-        if (hit) {
-          // A hit returns exactly the inserted list.
-          ASSERT_EQ(out, ListFor(op.key));
-        } else {
-          cache.Insert(key, ListFor(op.key));
-        }
-        size_t want_size = 0;
-        for (const auto& r : ref) want_size += r->Resident();
-        ASSERT_EQ(cache.size(), want_size);
-      }
-      // The /statusz introspection aggregates the same per-shard state.
-      CachePolicyStatus want;
-      for (const auto& r : ref) {
-        const CachePolicyStatus s = r->StatusNow();
-        want.resident += s.resident;
-        want.t1 += s.t1;
-        want.t2 += s.t2;
-        want.b1 += s.b1;
-        want.b2 += s.b2;
-        want.p += s.p;
-      }
-      const CachePolicyStatus got = cache.PolicyStatus();
-      EXPECT_EQ(got.resident, want.resident);
-      EXPECT_EQ(got.t1, want.t1);
-      EXPECT_EQ(got.t2, want.t2);
-      EXPECT_EQ(got.b1, want.b1);
-      EXPECT_EQ(got.b2, want.b2);
-      EXPECT_EQ(got.p, want.p);
+      size_t want_size = 0;
+      for (const RefCar& r : ref) want_size += r.Resident();
+      ASSERT_EQ(cache.size(), want_size);
     }
+    // The /statusz introspection aggregates the same per-shard state.
+    CachePolicyStatus want;
+    for (const RefCar& r : ref) {
+      const CachePolicyStatus s = r.StatusNow();
+      want.resident += s.resident;
+      want.t1 += s.t1;
+      want.t2 += s.t2;
+      want.b1 += s.b1;
+      want.b2 += s.b2;
+      want.p += s.p;
+    }
+    const CachePolicyStatus got = cache.PolicyStatus();
+    EXPECT_EQ(got.resident, want.resident);
+    EXPECT_EQ(got.t1, want.t1);
+    EXPECT_EQ(got.t2, want.t2);
+    EXPECT_EQ(got.b1, want.b1);
+    EXPECT_EQ(got.b2, want.b2);
+    EXPECT_EQ(got.p, want.p);
   }
 }
 
@@ -940,8 +699,7 @@ std::string StalenessLogPath(const std::string& name) {
 }
 
 std::unique_ptr<PqsdaEngine> BuildStalenessEngine(
-    CachePolicyKind policy, const std::string& warmup_path,
-    bool personalize = true) {
+    const std::string& warmup_path, bool personalize = true) {
   PqsdaEngineConfig config;
   config.upm.base.num_topics = 4;
   config.upm.base.gibbs_iterations = 10;
@@ -949,7 +707,6 @@ std::unique_ptr<PqsdaEngine> BuildStalenessEngine(
   config.personalize = personalize;
   config.cache_capacity = 64;
   config.cache_shards = 2;
-  config.cache_policy = policy;
   config.negative_cache_capacity = 32;
   config.cache_warmup.log_path = warmup_path;
   config.cache_warmup.max_requests = 64;
@@ -972,86 +729,79 @@ TEST(CacheStalenessOracleTest, RandomizedSwapScheduleNeverServesStale) {
   const int seed = OracleSeed();
   SCOPED_TRACE("gtest_random_seed " + std::to_string(seed));
 
-  for (CachePolicyKind policy :
-       {CachePolicyKind::kArc, CachePolicyKind::kLru}) {
-    SCOPED_TRACE(CachePolicyName(policy));
-    // A fresh request log per policy: the engine's serving path appends to
-    // it (sample_every=1) and every rebuild swap warms the new generation
-    // from it.
-    const std::string log_path =
-        StalenessLogPath(std::string("sched_") + CachePolicyName(policy));
-    std::remove(log_path.c_str());
-    obs::ServingTelemetryOptions toptions;
-    obs::ServingTelemetry& telemetry =
-        obs::ServingTelemetry::Install(toptions);
-    obs::RequestLogOptions loptions;
-    loptions.path = log_path;
-    loptions.sample_every = 1;
-    loptions.slow_us = INT64_MAX;
-    auto log = obs::RequestLog::Open(loptions);
-    ASSERT_TRUE(log.ok());
-    telemetry.AttachRequestLog(std::move(log).value());
+  // A fresh request log: the engine's serving path appends to it
+  // (sample_every=1) and every rebuild swap warms the new generation from
+  // it.
+  const std::string log_path = StalenessLogPath("sched");
+  std::remove(log_path.c_str());
+  obs::ServingTelemetryOptions toptions;
+  obs::ServingTelemetry& telemetry = obs::ServingTelemetry::Install(toptions);
+  obs::RequestLogOptions loptions;
+  loptions.path = log_path;
+  loptions.sample_every = 1;
+  loptions.slow_us = INT64_MAX;
+  auto log = obs::RequestLog::Open(loptions);
+  ASSERT_TRUE(log.ok());
+  telemetry.AttachRequestLog(std::move(log).value());
 
-    auto engine = BuildStalenessEngine(policy, log_path);
-    ASSERT_NE(engine, nullptr);
+  auto engine = BuildStalenessEngine(log_path);
+  ASSERT_NE(engine, nullptr);
 
-    const std::vector<std::string> known = {
-        "sun",       "sun java",    "solar system", "solar energy",
-        "uk news",   "sun daily uk"};
-    const std::vector<std::string> unknown = {"zzz qqq", "xylophone"};
-    std::mt19937 rng(static_cast<uint32_t>(seed) * 17u +
-                     static_cast<uint32_t>(policy));
-    std::uniform_int_distribution<int> pct(0, 99);
-    std::uniform_int_distribution<size_t> pick_known(0, known.size() - 1);
-    std::uniform_int_distribution<size_t> pick_unknown(0, unknown.size() - 1);
-    std::uniform_int_distribution<UserId> pick_user(1, 6);
+  const std::vector<std::string> known = {
+      "sun",       "sun java",    "solar system", "solar energy",
+      "uk news",   "sun daily uk"};
+  const std::vector<std::string> unknown = {"zzz qqq", "xylophone"};
+  std::mt19937 rng(static_cast<uint32_t>(seed) * 17u);
+  std::uniform_int_distribution<int> pct(0, 99);
+  std::uniform_int_distribution<size_t> pick_known(0, known.size() - 1);
+  std::uniform_int_distribution<size_t> pick_unknown(0, unknown.size() - 1);
+  std::uniform_int_distribution<UserId> pick_user(1, 6);
 
-    size_t hits_verified = 0;
-    int delta_n = 0;
-    for (int op = 0; op < 220; ++op) {
-      SCOPED_TRACE("op " + std::to_string(op));
-      const int roll = pct(rng);
-      if (roll < 6) {
-        // Ingest a delta (buffered; the swap happens on the rebuild op).
-        for (QueryLogRecord& r : FreshDelta(delta_n)) {
-          ASSERT_TRUE(engine->Ingest(std::move(r)).ok());
-        }
-        ++delta_n;
-        continue;
+  size_t hits_verified = 0;
+  int delta_n = 0;
+  for (int op = 0; op < 220; ++op) {
+    SCOPED_TRACE("op " + std::to_string(op));
+    const int roll = pct(rng);
+    if (roll < 6) {
+      // Ingest a delta (buffered; the swap happens on the rebuild op).
+      for (QueryLogRecord& r : FreshDelta(delta_n)) {
+        ASSERT_TRUE(engine->Ingest(std::move(r)).ok());
       }
-      if (roll < 12) {
-        // Swap: publish a new generation; the post-publish hook replays the
-        // request log into the new generation's cache before this returns.
-        ASSERT_TRUE(engine->index_manager().RebuildNow().ok());
-        continue;
-      }
-      SuggestionRequest request;
-      request.query =
-          roll < 20 ? unknown[pick_unknown(rng)] : known[pick_known(rng)];
-      request.user = roll % 3 == 0 ? kNoUser : pick_user(rng);
-      request.timestamp = 400;
-      ExplainRecord record;
-      auto served = engine->Suggest(request, /*k=*/5, nullptr, &record);
-      if (!served.ok()) {
-        ASSERT_EQ(served.status().code(), StatusCode::kNotFound)
-            << served.status().ToString();
-        continue;
-      }
-      // The staleness property: what the engine just answered — from the
-      // cache or not — must equal the cache-bypassed recompute pinned to
-      // the same generation.
-      ASSERT_EQ(record.fingerprint, FingerprintOf(*served));
-      auto replayed = engine->Replay(EntryFor(request, 5, record));
-      ASSERT_TRUE(replayed.ok()) << replayed.status().ToString();
-      ASSERT_EQ(FingerprintOf(*replayed), record.fingerprint);
-      if (record.cache_hit) ++hits_verified;
+      ++delta_n;
+      continue;
     }
-    // The schedule must actually have exercised the property on cache hits
-    // (head queries repeat; with warmup they hit right after swaps too).
-    EXPECT_GT(hits_verified, 0u) << "schedule produced no cache hits";
-    telemetry.AttachRequestLog(nullptr);
-    std::remove(log_path.c_str());
+    if (roll < 12) {
+      // Swap: publish a new generation; the post-publish hook replays the
+      // request log into the new generation's cache before this returns.
+      ASSERT_TRUE(engine->index_manager().RebuildNow().ok());
+      continue;
+    }
+    SuggestionRequest request;
+    request.query =
+        roll < 20 ? unknown[pick_unknown(rng)] : known[pick_known(rng)];
+    request.user = roll % 3 == 0 ? kNoUser : pick_user(rng);
+    request.timestamp = 400;
+    ExplainRecord record;
+    auto served = engine->Suggest(request, /*k=*/5, nullptr, &record);
+    if (!served.ok()) {
+      ASSERT_EQ(served.status().code(), StatusCode::kNotFound)
+          << served.status().ToString();
+      continue;
+    }
+    // The staleness property: what the engine just answered — from the
+    // cache or not — must equal the cache-bypassed recompute pinned to
+    // the same generation.
+    ASSERT_EQ(record.fingerprint, FingerprintOf(*served));
+    auto replayed = engine->Replay(EntryFor(request, 5, record));
+    ASSERT_TRUE(replayed.ok()) << replayed.status().ToString();
+    ASSERT_EQ(FingerprintOf(*replayed), record.fingerprint);
+    if (record.cache_hit) ++hits_verified;
   }
+  // The schedule must actually have exercised the property on cache hits
+  // (head queries repeat; with warmup they hit right after swaps too).
+  EXPECT_GT(hits_verified, 0u) << "schedule produced no cache hits";
+  telemetry.AttachRequestLog(nullptr);
+  std::remove(log_path.c_str());
 }
 
 // The concurrent variant: reader threads storm the engine while a churn
@@ -1072,7 +822,7 @@ TEST(CacheStalenessOracleTest, ConcurrentChurnVerifiedByLogReplay) {
   ASSERT_TRUE(log.ok());
   telemetry.AttachRequestLog(std::move(log).value());
 
-  auto engine = BuildStalenessEngine(CachePolicyKind::kCar, log_path);
+  auto engine = BuildStalenessEngine(log_path);
   ASSERT_NE(engine, nullptr);
 
   const uint64_t warmup_before =
@@ -1081,19 +831,34 @@ TEST(CacheStalenessOracleTest, ConcurrentChurnVerifiedByLogReplay) {
   const std::vector<std::string> pool = {"sun",          "sun java",
                                          "solar system", "solar energy",
                                          "uk news",      "zzz qqq"};
-  std::atomic<bool> done{false};
-  std::thread churn([&engine, &done] {
+  // The request log is written asynchronously. Without a handshake the four
+  // swaps can finish before any reader request reaches the file, and the
+  // warmups then have nothing to replay. So the churn thread waits until a
+  // reader has been served and that request is flushed to the log.
+  std::atomic<bool> served{false};
+  std::atomic<int> readers_running{3};
+  std::thread churn([&engine, &telemetry, &served, &readers_running] {
+    while (!served.load(std::memory_order_acquire) &&
+           readers_running.load(std::memory_order_acquire) > 0) {
+      std::this_thread::yield();
+    }
+    telemetry.request_log()->Flush();
     for (int cycle = 0; cycle < 4; ++cycle) {
       for (QueryLogRecord& r : FreshDelta(cycle)) {
         ASSERT_TRUE(engine->Ingest(std::move(r)).ok());
       }
       ASSERT_TRUE(engine->index_manager().RebuildNow().ok());
     }
-    done.store(true, std::memory_order_release);
   });
   std::vector<std::thread> readers;
   for (int t = 0; t < 3; ++t) {
-    readers.emplace_back([&engine, &pool, t] {
+    readers.emplace_back([&engine, &pool, &served, &readers_running, t] {
+      // Counts the reader out on every exit, a failed ASSERT included, so
+      // the churn thread never waits on a reader that is gone.
+      struct Leave {
+        std::atomic<int>& running;
+        ~Leave() { running.fetch_sub(1, std::memory_order_release); }
+      } leave{readers_running};
       for (int i = 0; i < 120; ++i) {
         SuggestionRequest request;
         request.query = pool[(i + t) % pool.size()];
@@ -1101,7 +866,9 @@ TEST(CacheStalenessOracleTest, ConcurrentChurnVerifiedByLogReplay) {
                                     : kNoUser;
         request.timestamp = 400;
         auto result = engine->Suggest(request, 5);
-        if (!result.ok()) {
+        if (result.ok()) {
+          served.store(true, std::memory_order_release);
+        } else {
           ASSERT_EQ(result.status().code(), StatusCode::kNotFound)
               << result.status().ToString();
         }
@@ -1161,7 +928,6 @@ TEST(CacheStalenessOracleTest, DeltaAwareRetainsEveryWarmEntryAcrossSwap) {
   config.personalize = false;
   config.cache_capacity = 64;
   config.cache_shards = 1;
-  config.cache_policy = CachePolicyKind::kArc;
   config.ingest.rebuild_min_records = SIZE_MAX;
   auto built = PqsdaEngine::Build(
       {

@@ -33,7 +33,7 @@
 #include "obs/metrics.h"
 #include "obs/sliding_window.h"
 #include "obs/telemetry.h"
-#include "solver/linear_solvers.h"
+#include "reference/solvers.h"
 
 namespace pqsda {
 namespace {

@@ -33,8 +33,9 @@
 #include "graph/csr_matrix.h"
 #include "graph/multi_bipartite.h"
 #include "log/sessionizer.h"
+#include "reference/hitting_time.h"
+#include "reference/solvers.h"
 #include "solver/eq15_operator.h"
-#include "solver/linear_solvers.h"
 #include "solver/regularization.h"
 #include "suggest/hitting_time_suggester.h"
 #include "synthetic/generator.h"

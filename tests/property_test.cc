@@ -12,7 +12,7 @@
 #include "graph/compact_builder.h"
 #include "graph/multi_bipartite.h"
 #include "log/sessionizer.h"
-#include "solver/linear_solvers.h"
+#include "reference/solvers.h"
 #include "solver/regularization.h"
 #include "suggest/hitting_time_suggester.h"
 #include "synthetic/generator.h"

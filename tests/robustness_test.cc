@@ -14,7 +14,6 @@
 #include "common/cancellation.h"
 #include "common/fault_injector.h"
 #include "common/rng.h"
-#include "core/profile_store.h"
 #include "core/pqsda_engine.h"
 #include "log/cleaner.h"
 #include "log/log_io.h"
@@ -78,28 +77,6 @@ TEST(RobustnessTest, ReadLogTsvRejectsGarbageFile) {
   auto read = ReadLogTsv(path);
   EXPECT_FALSE(read.ok());
   EXPECT_EQ(read.status().code(), StatusCode::kCorruption);
-  std::remove(path.c_str());
-}
-
-TEST(RobustnessTest, ProfileStoreLoadGarbage) {
-  Rng rng(3);
-  std::string path = testing::TempDir() + "/garbage_profiles.tsv";
-  for (int round = 0; round < 20; ++round) {
-    {
-      std::ofstream out(path);
-      for (int l = 0; l < 5; ++l) out << RandomBytes(rng, 40) << '\n';
-    }
-    auto store = ProfileStore::Load(path);
-    if (store.ok()) {
-      // Extremely unlikely but legal: whatever parsed must be well-formed.
-      for (size_t u = 0; u < 4; ++u) {
-        const UserProfile* p = store->Find(static_cast<UserId>(u));
-        if (p != nullptr) {
-          EXPECT_FALSE(p->theta.empty());
-        }
-      }
-    }
-  }
   std::remove(path.c_str());
 }
 

@@ -1,6 +1,6 @@
 // Tests for the concurrent serving layer: the ThreadPool, the reusable
 // solver/hitting-time workspaces, PqsdaEngine::SuggestBatch and the sharded
-// LRU SuggestionCache — plus regression tests for the request-path crash and
+// CAR SuggestionCache — plus regression tests for the request-path crash and
 // stats bugs. This file is also the concurrency suite run_benches.sh
 // re-runs under ThreadSanitizer.
 
@@ -15,7 +15,8 @@
 #include "core/pqsda_engine.h"
 #include "log/sessionizer.h"
 #include "obs/metrics.h"
-#include "solver/linear_solvers.h"
+#include "reference/hitting_time.h"
+#include "reference/solvers.h"
 #include "suggest/hitting_time_suggester.h"
 #include "suggest/pqsda_diversifier.h"
 #include "suggest/suggestion_cache.h"
@@ -150,7 +151,8 @@ TEST(ServingHittingTimeTest, ChainParallelWorkspaceMatchesSerial) {
 }
 
 // Regression (release-build OOB write): an out-of-range seed id must be
-// skipped unconditionally, not filtered only by a compiled-out assert.
+// skipped unconditionally, not filtered only by a compiled-out assert —
+// in the served merged-chain sweep and in the reference sweep alike.
 TEST(ServingHittingTimeTest, ChainOutOfRangeSeedIsSkipped) {
   auto chain = CsrMatrix::FromTriplets(
       3, 3, {{0, 1, 1.0}, {1, 2, 1.0}, {2, 0, 1.0}});
@@ -159,6 +161,13 @@ TEST(ServingHittingTimeTest, ChainOutOfRangeSeedIsSkipped) {
   ASSERT_EQ(valid.size(), with_bad.size());
   for (size_t i = 0; i < valid.size(); ++i) {
     EXPECT_DOUBLE_EQ(valid[i], with_bad[i]);
+  }
+  const MergedChain merged = BuildMergedChain({&chain}, {1.0});
+  HittingTimeWorkspace ws;
+  MergedChainHittingTimeInto(merged, {0, 999999}, 8, nullptr, ws);
+  ASSERT_EQ(ws.h.size(), valid.size());
+  for (size_t i = 0; i < valid.size(); ++i) {
+    EXPECT_DOUBLE_EQ(valid[i], ws.h[i]);
   }
 }
 
@@ -439,7 +448,7 @@ TEST(SuggestionCacheTest, KeySeparatesContextQueryFromOffset) {
   EXPECT_NE(SuggestionCache::KeyOf(c, 5), SuggestionCache::KeyOf(d, 5));
 }
 
-TEST(SuggestionCacheTest, LruEvictsOldestAndRefreshesOnHit) {
+TEST(SuggestionCacheTest, EvictsUnreferencedAndKeepsHitEntry) {
   SuggestionCacheOptions options;
   options.capacity = 2;
   options.shards = 1;
@@ -450,7 +459,7 @@ TEST(SuggestionCacheTest, LruEvictsOldestAndRefreshesOnHit) {
 
   cache.Insert("a", {{"a1", 1.0}});
   cache.Insert("b", {{"b1", 1.0}});
-  ASSERT_TRUE(cache.Lookup("a", nullptr));  // refresh "a"; "b" is now LRU
+  ASSERT_TRUE(cache.Lookup("a", nullptr));  // "a" referenced; "b" is not
   cache.Insert("c", {{"c1", 1.0}});
   EXPECT_EQ(cache.size(), 2u);
   EXPECT_EQ(evictions.Value(), evictions_before + 1);

@@ -3,7 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "graph/multi_bipartite.h"
-#include "solver/linear_solvers.h"
+#include "reference/solvers.h"
 #include "solver/regularization.h"
 
 namespace pqsda {
@@ -249,6 +249,34 @@ TEST(RegularizationTest, MismatchedF0Rejected) {
   auto f = SolveRegularization(rep, {1.0}, RegularizationOptions{});
   ASSERT_FALSE(f.ok());
   EXPECT_EQ(f.status().code(), StatusCode::kInvalidArgument);
+}
+
+// ----------------------------------------------- JacobiSolveParallel ----
+
+TEST(ParallelJacobiTest, MatchesSerialSolution) {
+  auto a = CsrMatrix::FromTriplets(
+      4, 4, {{0, 0, 5.0}, {0, 1, -1.0}, {1, 0, -1.0}, {1, 1, 5.0},
+             {1, 2, -2.0}, {2, 1, -2.0}, {2, 2, 6.0}, {2, 3, -1.0},
+             {3, 2, -1.0}, {3, 3, 4.0}});
+  std::vector<double> b = {1.0, -2.0, 3.0, 0.5};
+  std::vector<double> xs, xp;
+  auto rs = JacobiSolve(a, b, xs, SolverOptions{});
+  auto rp = JacobiSolveParallel(a, b, xp, SolverOptions{}, 3);
+  EXPECT_TRUE(rs.converged);
+  EXPECT_TRUE(rp.converged);
+  for (size_t i = 0; i < 4; ++i) EXPECT_NEAR(xs[i], xp[i], 1e-7);
+  // Jacobi is deterministic regardless of thread count.
+  EXPECT_EQ(rs.iterations, rp.iterations);
+}
+
+TEST(ParallelJacobiTest, MoreThreadsThanRows) {
+  auto a = CsrMatrix::FromTriplets(2, 2, {{0, 0, 2.0}, {1, 1, 4.0}});
+  std::vector<double> b = {2.0, 8.0};
+  std::vector<double> x;
+  auto r = JacobiSolveParallel(a, b, x, SolverOptions{}, 16);
+  EXPECT_TRUE(r.converged);
+  EXPECT_NEAR(x[0], 1.0, 1e-9);
+  EXPECT_NEAR(x[1], 2.0, 1e-9);
 }
 
 }  // namespace

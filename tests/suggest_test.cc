@@ -3,7 +3,7 @@
 
 #include <gtest/gtest.h>
 
-#include "suggest/cacb_suggester.h"
+#include "reference/hitting_time.h"
 #include "suggest/concept_suggester.h"
 #include "suggest/dqs_suggester.h"
 #include "suggest/engine.h"
@@ -256,45 +256,6 @@ TEST_F(SuggestTest, CmUsesUserProfile) {
   // Top suggestion aligns with the java concept for the java user.
   EXPECT_TRUE((*out)[0].query.find("java") != std::string::npos)
       << (*out)[0].query;
-}
-
-// ------------------------------------------------------------ CACB ----
-
-TEST_F(SuggestTest, CacbClustersCoClickedQueries) {
-  auto sessions = Sessionize(records_);
-  CacbSuggester cacb(cg_, records_, sessions);
-  EXPECT_EQ(cacb.name(), "CACB");
-  EXPECT_GT(cacb.num_concepts(), 0u);
-  EXPECT_LE(cacb.num_concepts(), cg_.num_queries());
-  // "solar system" and "solar energy" both click www.nasa.gov with high
-  // overlap -> likely one concept; unknown queries map to UINT32_MAX.
-  EXPECT_EQ(cacb.ConceptOf("nonexistent"), UINT32_MAX);
-  EXPECT_NE(cacb.ConceptOf("sun"), UINT32_MAX);
-}
-
-TEST_F(SuggestTest, CacbSuggestsSessionContinuations) {
-  auto sessions = Sessionize(records_);
-  CacbSuggester cacb(cg_, records_, sessions);
-  // In the log, "sun" is followed by "sun java" (user 1), "solar system"
-  // (user 2) and "sun daily uk" (user 3).
-  auto out = cacb.Suggest(SunRequest(), 5);
-  ASSERT_TRUE(out.ok());
-  ASSERT_FALSE(out->empty());
-  std::set<std::string> suggested;
-  for (const auto& s : *out) suggested.insert(s.query);
-  EXPECT_TRUE(suggested.count("sun java") > 0 ||
-              suggested.count("solar system") > 0 ||
-              suggested.count("sun daily uk") > 0);
-}
-
-TEST_F(SuggestTest, CacbUnknownQueryNotFound) {
-  auto sessions = Sessionize(records_);
-  CacbSuggester cacb(cg_, records_, sessions);
-  SuggestionRequest r;
-  r.query = "never seen";
-  auto out = cacb.Suggest(r, 5);
-  ASSERT_FALSE(out.ok());
-  EXPECT_EQ(out.status().code(), StatusCode::kNotFound);
 }
 
 // -------------------------------------------------- PQS-DA diversify ----

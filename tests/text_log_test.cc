@@ -9,7 +9,6 @@
 #include "log/record.h"
 #include "log/sessionizer.h"
 #include "text/tokenizer.h"
-#include "text/vocabulary.h"
 
 namespace pqsda {
 namespace {
@@ -49,25 +48,6 @@ TEST(TokenizerTest, Stopwords) {
   EXPECT_TRUE(IsStopword("the"));
   EXPECT_TRUE(IsStopword("of"));
   EXPECT_FALSE(IsStopword("java"));
-}
-
-// ------------------------------------------------------- Vocabulary ----
-
-TEST(VocabularyTest, AddAndLookup) {
-  Vocabulary v;
-  TermId a = v.Add("java");
-  EXPECT_EQ(v.Lookup("java"), a);
-  EXPECT_EQ(v.Lookup("absent"), kInvalidStringId);
-  EXPECT_EQ(v.Term(a), "java");
-}
-
-TEST(VocabularyTest, QueryFrequencyCounts) {
-  Vocabulary v;
-  TermId a = v.Add("java");
-  EXPECT_EQ(v.QueryFrequency(a), 0u);
-  v.CountQueryOccurrence(a);
-  v.CountQueryOccurrence(a);
-  EXPECT_EQ(v.QueryFrequency(a), 2u);
 }
 
 // ----------------------------------------------------------- Record ----
